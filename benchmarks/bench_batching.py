@@ -42,7 +42,8 @@ from repro.cluster.node import WorkUnit
 from repro.core import ORB
 from repro.core.context import Placement
 from repro.core.objref import ObjectReference
-from repro.core.resilience import BreakerRegistry, RetryPolicy
+from repro.core.peers import PeerTable
+from repro.core.resilience import RetryPolicy
 from repro.metrics.recorder import MetricsRecorder
 from repro.simnet import ETHERNET_10, NetworkSimulator, Topology
 
@@ -150,7 +151,7 @@ def sim_world(seed: int):
     orb = ORB(simulator=sim)
     nodes = build_cluster(orb, ["m1", "m2"], workers_per_node=1)
     client = orb.context("client", machine="m0")
-    client.breakers = BreakerRegistry(client.clock, cooldown=1.0)
+    client.peers = PeerTable(client.clock, cooldown=1.0)
     table = bind_workers(client, nodes,
                          retry_policy=RetryPolicy(max_attempts=4,
                                                   seed=seed))

@@ -76,10 +76,10 @@ def test_balanced_vs_static(benchmark, record_result):
         ["placement", "mean latency (ms)", "p95 (ms)", "makespan (s)",
          "migrations"],
         [["static", f"{static.mean_latency * 1e3:.3g}",
-          f"{static.latency_percentile(95) * 1e3:.3g}",
+          f"{static.latency_percentile(0.95) * 1e3:.3g}",
           f"{static.makespan:.4g}", static.migrations],
          ["balanced", f"{balanced.mean_latency * 1e3:.3g}",
-          f"{balanced.latency_percentile(95) * 1e3:.3g}",
+          f"{balanced.latency_percentile(0.95) * 1e3:.3g}",
           f"{balanced.makespan:.4g}", balanced.migrations]])
     record_result("load_balance", "Load balancing ablation\n" + table)
 

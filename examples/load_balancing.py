@@ -92,7 +92,7 @@ def main() -> None:
     print("placement   mean-latency   p95-latency   makespan  migrations")
     for name, r in (("static", static), ("balanced", balanced)):
         print(f"{name:>9}  {r.mean_latency * 1e3:>10.2f} ms"
-              f"  {r.latency_percentile(95) * 1e3:>9.2f} ms"
+              f"  {r.latency_percentile(0.95) * 1e3:>9.2f} ms"
               f"  {r.makespan:>7.3f} s  {r.migrations:>9}")
 
     print("\nprotocol selected by the client:")

@@ -28,6 +28,7 @@ from repro.admission import AdmissionController, AdmissionPolicy, CLASS_NAMES
 from repro.cluster.workload import SyntheticWorkload, WorkloadResult
 from repro.core.instrumentation import GLOBAL_HOOKS, HookBus
 from repro.faults.plan import FaultPlan
+from repro.metrics.core import nearest_rank
 from repro.metrics.curves import DegradationCurve
 from repro.metrics.recorder import MetricsRecorder
 from repro.security.prng import Pcg32
@@ -172,13 +173,6 @@ class OverloadPhase:
         if len(self.mix) != 3 or abs(sum(self.mix) - 1.0) > 1e-9:
             raise ValueError("mix must be 3 class probabilities summing "
                              "to 1")
-
-
-def _nearest_rank(sorted_values: List[float], q: float) -> Optional[float]:
-    if not sorted_values:
-        return None
-    rank = max(int(q * len(sorted_values) + 0.999999) - 1, 0)
-    return sorted_values[min(rank, len(sorted_values) - 1)]
 
 
 @dataclass
@@ -398,8 +392,8 @@ class OverloadRun:
             values.sort()
             by_class[CLASS_NAMES[priority]] = {
                 "count": len(values),
-                "p50": _nearest_rank(values, 0.50),
-                "p99": _nearest_rank(values, 0.99),
+                "p50": nearest_rank(values, 0.50) if values else None,
+                "p99": nearest_rank(values, 0.99) if values else None,
             }
         return OverloadReport(
             offered=len(arrivals), completed=completed, timely=timely,

@@ -17,8 +17,9 @@ import numpy as np
 
 from repro.core.gp import GlobalPointer
 from repro.exceptions import HpcError
+from repro.metrics.core import nearest_rank
 from repro.security.prng import Pcg32
-from repro.util.stats import OnlineStats, percentile
+from repro.util.stats import OnlineStats
 
 __all__ = ["RequestSpec", "WorkloadResult", "SyntheticWorkload",
            "BatchedSyntheticWorkload"]
@@ -62,7 +63,9 @@ class WorkloadResult:
         return self.latencies.count
 
     def latency_percentile(self, q: float) -> float:
-        return percentile(sorted(self._raw), q)
+        """Nearest-rank ``q``-quantile (``q`` in [0, 1]) of the
+        successful requests' latencies."""
+        return nearest_rank(sorted(self._raw), q)
 
     def to_dict(self) -> dict:
         """Plain-dict summary (serializable, ``==``-comparable)."""
@@ -74,8 +77,8 @@ class WorkloadResult:
             "makespan": self.makespan,
             "migrations": self.migrations,
             "mean_latency": self.mean_latency if has_lat else None,
-            "p50": percentile(ordered, 50) if has_lat else None,
-            "p99": percentile(ordered, 99) if has_lat else None,
+            "p50": nearest_rank(ordered, 0.50) if has_lat else None,
+            "p99": nearest_rank(ordered, 0.99) if has_lat else None,
             "per_object_requests": dict(self.per_object_requests),
         }
 

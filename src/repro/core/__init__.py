@@ -50,20 +50,12 @@ from repro.core.monitor import LoadMonitor
 from repro.core.loadbalance import LoadBalancer
 from repro.core.health import HealthMonitor
 from repro.core.cost_policy import CostAwarePolicy
-from repro.core.instrumentation import (
-    GLOBAL_HOOKS,
-    HookBus,
-    LatencyRegistry,
-    LatencyTracker,
-)
+from repro.core.instrumentation import GLOBAL_HOOKS, HookBus
+from repro.core.peers import PeerTable
 from repro.core.resilience import (
     AttemptRecord,
-    BreakerRegistry,
     BreakerState,
-    CircuitBreaker,
     HedgePolicy,
-    RetryBudget,
-    RetryBudgetRegistry,
     RetryPolicy,
 )
 
@@ -96,14 +88,9 @@ __all__ = [
     "CostAwarePolicy",
     "HookBus",
     "GLOBAL_HOOKS",
-    "LatencyTracker",
-    "LatencyRegistry",
+    "PeerTable",
     "AttemptRecord",
     "RetryPolicy",
-    "RetryBudget",
-    "RetryBudgetRegistry",
     "HedgePolicy",
     "BreakerState",
-    "CircuitBreaker",
-    "BreakerRegistry",
 ]

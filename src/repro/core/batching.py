@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.admission.deadline import ambient_deadline
 from repro.core.request import (
@@ -55,8 +55,7 @@ from repro.exceptions import (
     TransportError,
 )
 
-__all__ = ["BatchPolicy", "CallCoalescer", "CoalescerRegistry",
-           "BatchScope", "flush_batch"]
+__all__ = ["BatchPolicy", "CallCoalescer", "BatchScope", "flush_batch"]
 
 
 @dataclass
@@ -85,10 +84,11 @@ class BatchPolicy:
     #: Fraction of the peer's p50 latency the leader waits.
     window_fraction: float = 0.5
 
-    def window_for(self, tracker) -> float:
+    def window_for(self, latency) -> float:
         """The leader's wait for one flush, from the peer's latency
-        history (``min_window`` until enough history exists)."""
-        p50 = tracker.quantile(0.5) if tracker is not None else None
+        history (a :class:`~repro.core.peers.LatencyView`;
+        ``min_window`` until enough history exists)."""
+        p50 = latency.quantile(0.5) if latency is not None else None
         if p50 is None:
             return self.min_window
         return min(max(self.window_fraction * p50, self.min_window),
@@ -113,7 +113,7 @@ class _PendingCall:
         self.future: Future = Future()
 
 
-def _settle_member(context, context_id: str, proto_id: str,
+def _settle_member(context_id: str, proto_id: str,
                    item: _PendingCall, envelope: bytes,
                    duration: float) -> None:
     """Deliver one member's outcome exactly as the direct path would."""
@@ -122,7 +122,7 @@ def _settle_member(context, context_id: str, proto_id: str,
     if item.invocation.oneway:
         # Fire-and-forget members discard their reply outcome entirely,
         # matching the direct path (which never reads a reply).
-        gp.breakers.record_success(context_id, proto_id)
+        gp.peers.record_success(context_id, proto_id)
         gp._emit("request", method=method, proto_id=proto_id,
                  outcome="ok", duration=duration)
         item.future.set_result(None)
@@ -145,8 +145,7 @@ def _settle_member(context, context_id: str, proto_id: str,
                  outcome="error", error=exc, duration=duration)
         item.future.set_exception(exc)
         return
-    gp.breakers.record_success(context_id, proto_id)
-    context.latencies.observe(context_id, proto_id, duration)
+    gp.peers.record_success(context_id, proto_id, duration)
     gp._emit("request", method=method, proto_id=proto_id,
              outcome="ok", duration=duration)
     item.future.set_result(value)
@@ -167,10 +166,10 @@ def _settle_failed(context, context_id: str, proto_id: str,
         # out *once* for the whole batch, then let members fall back
         # individually (each member's own recovery loop honours any
         # further pushback).
-        context.pushback.note(context_id, exc.retry_after)
+        lead.gp.peers.note_pushback(context_id, exc.retry_after)
         sleep_on(context.clock, exc.retry_after)
     else:
-        lead.gp.breakers.record_failure(context_id, proto_id)
+        lead.gp.peers.record_failure(context_id, proto_id)
         lead.gp._evict_client(lead.entry)
     # Only a transport error without the sent flag proves the batch
     # never left this host; anything else (a reply we could not decode,
@@ -232,8 +231,7 @@ def flush_batch(context, context_id: str, proto_id: str,
                   duration=duration)
     for item, envelope in zip(batch, envelopes):
         try:
-            _settle_member(context, context_id, proto_id, item, envelope,
-                           duration)
+            _settle_member(context_id, proto_id, item, envelope, duration)
         except Exception as exc:  # noqa: BLE001 - backstop
             if not item.future.done():
                 item.future.set_exception(exc)
@@ -296,8 +294,8 @@ class CallCoalescer:
             elif len(self._pending) == 1:
                 # Leader: wait the adaptive window for company.
                 window = policy.window_for(
-                    self.context.latencies.tracker(self.context_id,
-                                                   self.proto_id))
+                    self.context.peers.latency(self.context_id,
+                                               self.proto_id))
                 self._cond.wait(timeout=window)
                 if any(p is item for p in self._pending):
                     batch, reason = self._take_locked(), "window"
@@ -318,41 +316,6 @@ class CallCoalescer:
             flush_batch(self.context, self.context_id, self.proto_id,
                         batch, "flush")
         return len(batch)
-
-
-class CoalescerRegistry:
-    """The context's table of coalescers, keyed by (peer, proto)."""
-
-    def __init__(self, context):
-        self.context = context
-        self._lock = threading.Lock()
-        self._coalescers: Dict[Tuple[str, str], CallCoalescer] = {}
-
-    def coalescer(self, context_id: str, proto_id: str) -> CallCoalescer:
-        key = (context_id, proto_id)
-        with self._lock:
-            co = self._coalescers.get(key)
-            if co is None:
-                co = CallCoalescer(self.context, context_id, proto_id)
-                self._coalescers[key] = co
-            return co
-
-    def flush_peer(self, context_id: str) -> int:
-        """Flush every coalescer aimed at one peer (GP close path)."""
-        with self._lock:
-            matches = [co for (cid, _pid), co in self._coalescers.items()
-                       if cid == context_id]
-        return sum(co.flush() for co in matches)
-
-    def flush_all(self) -> int:
-        with self._lock:
-            matches = list(self._coalescers.values())
-        return sum(co.flush() for co in matches)
-
-    def pending(self) -> int:
-        with self._lock:
-            matches = list(self._coalescers.values())
-        return sum(co.pending for co in matches)
 
 
 class BatchScope:

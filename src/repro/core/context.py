@@ -29,7 +29,7 @@ from repro.admission import (
     AdmissionPolicy,
     ambient_deadline,
 )
-from repro.core.batching import BatchPolicy, CoalescerRegistry
+from repro.core.batching import BatchPolicy
 from repro.core.glue import (
     GLUE_REPLY_BARE,
     GLUE_REPLY_PROCESSED,
@@ -37,9 +37,9 @@ from repro.core.glue import (
     decode_glue_envelope,
     encode_glue_reply,
 )
-from repro.core.instrumentation import LatencyRegistry
 from repro.core.monitor import LoadMonitor
 from repro.core.objref import ObjectReference, ProtocolEntry
+from repro.core.peers import PeerTable
 from repro.core.proto_pool import ProtocolPool
 from repro.core.protocol import (
     BATCH_HANDLER,
@@ -48,12 +48,7 @@ from repro.core.protocol import (
     INVOKE_HANDLER,
     marshaller_for,
 )
-from repro.core.resilience import (
-    BreakerRegistry,
-    HedgePolicy,
-    PushbackRegistry,
-    RetryBudgetRegistry,
-)
+from repro.core.resilience import HedgePolicy
 from repro.core.request import (
     RequestMeta,
     decode_invocation,
@@ -187,17 +182,10 @@ class Context:
         self.forwards: Dict[str, ObjectReference] = {}
         self.proto_pool = pool or ProtocolPool(["glue", "shm", "nexus"])
         self.monitor = LoadMonitor(self.clock)
-        #: Per-(remote context, proto) circuit breakers shared by every
-        #: GP bound in this context; selection sheds open entries.
-        self.breakers = BreakerRegistry(self.clock)
-        #: Per-remote-context token-bucket retry budgets shared by every
-        #: GP bound here: N concurrent calls to one flapping peer draw
-        #: from one bounded pool instead of each retrying independently.
-        self.retry_budgets = RetryBudgetRegistry()
-        #: Per-peer overload pushback noted by GPs when a server sheds a
-        #: request; stretches backoff and suppresses hedging toward
-        #: that peer until its retry-after hint elapses.
-        self.pushback = PushbackRegistry(self.clock)
+        #: Per-peer call state shared by every GP bound here: circuit
+        #: breakers, retry budgets, overload pushback, latency windows
+        #: and call coalescers (see :mod:`repro.core.peers`).
+        self.peers = PeerTable(self.clock)
         #: Server-side admission control for this context's endpoint
         #: (disabled by default; :meth:`set_admission_policy` turns it
         #: on and re-tunes it at runtime, Open Implementation style).
@@ -205,17 +193,13 @@ class Context:
                                              clock=self.clock)
         self.server.endpoint.admission = self.admission
         self.server.endpoint.clock = self.clock
-        #: Per-(remote context, proto) streaming latency trackers; fed
-        #: by every successful request, read by the hedging policy.
-        self.latencies = LatencyRegistry()
         #: Context-wide hedging default for GPs bound here (off until an
         #: application or test opts in; GPs may override per binding).
         self.hedge_policy = HedgePolicy(enabled=False)
         #: Transparent-coalescing policy for GPs bound here (off until an
         #: application opts in; explicit ``gp.batch()`` scopes work
-        #: regardless) and the per-(peer, proto) coalescer table.
+        #: regardless).
         self.batch_policy = BatchPolicy(enabled=False)
-        self.batching = CoalescerRegistry(self)
         #: Real-transport channels multiplex concurrent requests by
         #: correlation id unless an application opts out.
         self.pipelined_channels = True
@@ -607,9 +591,7 @@ class Context:
             "servants": servants,
             "forwards": forwards,
             "glue_stacks": stacks,
-            "breakers_open": self.breakers.open_keys(),
-            "retry_budgets": self.retry_budgets.snapshot(),
-            "pushback": self.pushback.snapshot(),
+            **self.peers.snapshot(),
             "admission": self.admission.snapshot(),
             "load": {
                 "total_requests": self.monitor.total_requests,

@@ -32,8 +32,8 @@ A :class:`GlobalPointer` is the client proxy:
   and an idempotence guard refuses to re-issue a request that may have
   reached dispatch unless the method is marked ``retry_safe``;
 * **shared retry budget** — every backoff retry must also be covered by
-  the calling context's per-peer token-bucket
-  :class:`~repro.core.resilience.RetryBudget`, so N concurrent
+  the peer's token bucket in the GP's
+  :class:`~repro.core.peers.PeerTable`, so N concurrent
   ``invoke_async`` calls against one flapping peer share one bounded
   retry pool instead of multiplying load N-fold;
 * **hedged requests** — for ``retry_safe`` methods under an enabled
@@ -103,7 +103,7 @@ class GlobalPointer:
                  pool: Optional[ProtocolPool] = None,
                  policy: Optional[SelectionPolicy] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 breakers=None,
+                 peers=None,
                  hedge_policy: Optional[HedgePolicy] = None,
                  priority: int = 0):
         self.oref = oref.clone()
@@ -112,10 +112,10 @@ class GlobalPointer:
         self.policy = policy or FirstMatchPolicy()
         #: Retry/backoff/deadline policy for this GP's invocations.
         self.retry_policy = retry_policy or RetryPolicy()
-        #: Circuit breakers; defaults to the context-wide registry so
-        #: every GP talking to the same peer shares failure history.
-        self.breakers = breakers if breakers is not None \
-            else context.breakers
+        #: Per-peer breakers, retry budgets, pushback and latency;
+        #: defaults to the context-wide table so every GP talking to the
+        #: same peer shares its history.
+        self.peers = peers if peers is not None else context.peers
         #: Hedging policy; None falls back to the context-wide default.
         self.hedge_policy = hedge_policy
         #: Admission class stamped on every request from this GP
@@ -222,7 +222,7 @@ class GlobalPointer:
                     else:
                         penalized.append(entry.proto_id)
                         return False
-            if not self.breakers.allow(context_id, entry.proto_id):
+            if not self.peers.allow(context_id, entry.proto_id):
                 shed.append(entry.proto_id)
                 return False
             return self._entry_applicable(entry, locality)
@@ -379,17 +379,14 @@ class GlobalPointer:
         """
         clock = self.context.clock
         policy = self._hedge_policy_for(oref, method, invocation.oneway)
-        if policy is not None \
-                and self.context.pushback.active(context_id):
-            # Racing a *second* request at a server that just pushed
-            # back is anti-cooperative; hold hedging until the
-            # retry-after window has passed.
-            policy = None
         delay = None
-        if policy is not None:
-            tracker = self.context.latencies.tracker(context_id,
-                                                     entry.proto_id)
-            delay = policy.hedge_delay(tracker)
+        # Racing a *second* request at a server that just pushed back is
+        # anti-cooperative; hold hedging until the retry-after window
+        # has passed.
+        if policy is not None \
+                and not self.peers.pushback_remaining(context_id):
+            delay = policy.hedge_delay(
+                self.peers.latency(context_id, entry.proto_id))
         if delay is None:
             started = clock.now()
             result = client.invoke(invocation)
@@ -451,7 +448,7 @@ class GlobalPointer:
         hedged_latency = delay + (clock.now() - hedge_started)
         if hedge_exc is None and (primary_exc is not None
                                   or hedged_latency < primary_latency):
-            self.breakers.record_success(context_id, hedge_entry.proto_id)
+            self.peers.record_success(context_id, hedge_entry.proto_id)
             self._emit("hedge_win", method=method,
                        proto_id=hedge_entry.proto_id,
                        primary_proto=entry.proto_id,
@@ -463,7 +460,7 @@ class GlobalPointer:
             # Both legs failed: the primary error drives retry/failover.
             raise primary_exc
         if hedge_exc is not None:
-            self.breakers.record_failure(context_id, hedge_entry.proto_id)
+            self.peers.record_failure(context_id, hedge_entry.proto_id)
         self._emit("hedge_loss", method=method, proto_id=entry.proto_id,
                    hedge_proto=hedge_entry.proto_id,
                    latency=primary_latency)
@@ -521,8 +518,7 @@ class GlobalPointer:
                 return primary.result(), clock.now() - started
             if outcomes.get(hedge, False) is None:
                 latency = clock.now() - started
-                self.breakers.record_success(context_id,
-                                             hedge_entry.proto_id)
+                self.peers.record_success(context_id, hedge_entry.proto_id)
                 self._emit("hedge_win", method=method,
                            proto_id=hedge_entry.proto_id,
                            primary_proto=entry.proto_id, latency=latency,
@@ -535,8 +531,7 @@ class GlobalPointer:
                     abandon(primary, lambda: self._evict_client(entry))
                 return result, latency
             if hedge in outcomes and outcomes[hedge] is not None:
-                self.breakers.record_failure(context_id,
-                                             hedge_entry.proto_id)
+                self.peers.record_failure(context_id, hedge_entry.proto_id)
         # Both legs failed: surface the primary error to the retry loop.
         _close_quietly(hedge_client)
         raise outcomes[primary]
@@ -570,8 +565,8 @@ class GlobalPointer:
             return None
         if len(payload) > policy.max_item_bytes:
             return None
-        coalescer = self.context.batching.coalescer(oref.context_id,
-                                                    entry.proto_id)
+        coalescer = self.context.peers.coalescer(
+            self.context, oref.context_id, entry.proto_id)
         self._emit("selection", proto_id=entry.proto_id, entry=entry,
                    method=invocation.method)
         # Oneway calls flush eagerly: the caller will not wait out a
@@ -614,8 +609,7 @@ class GlobalPointer:
         context_id = oref.context_id
         # The shared per-peer retry budget: the first attempt is offered
         # load and deposits; only retries withdraw.
-        budget = self.context.retry_budgets.get(context_id)
-        budget.deposit()
+        self.peers.deposit(context_id)
         attempts: list = []
         demoted: set = set()          # id(entry) failed during this call
         failed_entry: Optional[ProtocolEntry] = None
@@ -658,7 +652,6 @@ class GlobalPointer:
                 # apply, and retries now charge the new peer's budget.
                 oref = self._snapshot()
                 context_id = oref.context_id
-                budget = self.context.retry_budgets.get(context_id)
                 demoted.clear()
                 failed_entry = None
                 continue
@@ -677,11 +670,9 @@ class GlobalPointer:
                     # demotion (every table entry reaches the same
                     # saturated server); just note the hint so every GP
                     # bound to this peer backs off and stops hedging.
-                    self.context.pushback.note(context_id,
-                                               exc.retry_after)
+                    self.peers.note_pushback(context_id, exc.retry_after)
                 else:
-                    self.breakers.record_failure(context_id,
-                                                 entry.proto_id)
+                    self.peers.record_failure(context_id, entry.proto_id)
                     self._evict_client(entry)
                     self._penalize(entry)
                 failures += 1
@@ -724,11 +715,11 @@ class GlobalPointer:
                         f"deadline of {policy.deadline}s exceeded after "
                         f"{failures} attempts on {method!r}",
                         attempts) from exc
-                if not budget.try_withdraw():
+                if not self.peers.try_withdraw(context_id):
                     self._emit("budget_exhausted", method=method,
                                context_id=context_id,
-                               proto_id=entry.proto_id,
-                               attempt=failures, tokens=budget.tokens)
+                               proto_id=entry.proto_id, attempt=failures,
+                               tokens=self.peers.row(context_id).tokens)
                     raise RetryBudgetExhaustedError(
                         f"shared retry budget for peer {context_id!r} "
                         f"exhausted after {failures} attempt(s) on "
@@ -747,10 +738,8 @@ class GlobalPointer:
                            proto_id=entry.proto_id, outcome="error",
                            error=exc, duration=clock.now() - started)
                 raise
-            self.breakers.record_success(context_id, entry.proto_id)
+            self.peers.record_success(context_id, entry.proto_id, duration)
             self._penalties.pop(id(entry), None)
-            self.context.latencies.observe(context_id, entry.proto_id,
-                                           duration)
             self._emit("request", method=method, proto_id=entry.proto_id,
                        outcome="ok", duration=duration)
             return result
@@ -901,9 +890,8 @@ class GlobalPointer:
         first — calls enqueued in an un-expired window must complete,
         not vanish with the connection.
         """
-        batching = getattr(self.context, "batching", None)
-        if batching is not None and not self._closed:
-            batching.flush_peer(self.oref.context_id)
+        if not self._closed:
+            self.context.peers.flush(self.oref.context_id)
         with self._lock:
             if self._closed:
                 inflight: list = []

@@ -44,15 +44,14 @@ class HealthMonitor:
     """
 
     def __init__(self, home: Context, probe_timeout: float = 2.0,
-                 breakers=None):
+                 peers=None):
         self.home = home
         self.probe_timeout = probe_timeout
-        #: Optional :class:`repro.core.resilience.BreakerRegistry`; probe
-        #: verdicts are fed into it so a dead peer's breakers open (and a
+        #: The :class:`repro.core.peers.PeerTable` whose breakers probe
+        #: verdicts feed, so a dead peer's breakers open (and a
         #: recovered peer's breakers close) without burning request
-        #: retries.  Defaults to the home context's registry.
-        self.breakers = breakers if breakers is not None \
-            else getattr(home, "breakers", None)
+        #: retries.  Defaults to the home context's table.
+        self.peers = peers if peers is not None else home.peers
         self.last: Dict[str, ProbeResult] = {}
         self._targets: Dict[str, ProtocolEntry] = {}
 
@@ -105,8 +104,7 @@ class HealthMonitor:
                              rtt=self.home.clock.now() - started,
                              error=error)
         self.last[context_id] = result
-        if self.breakers is not None:
-            self.breakers.record_probe(context_id, alive)
+        self.peers.record_probe(context_id, alive)
         return result
 
     def sweep(self) -> Dict[str, ProbeResult]:

@@ -21,11 +21,11 @@ machinery publish events to:
     fired when a retry moves to a *different* protocol-table entry than
     the one that failed (``from_proto`` / ``to_proto``);
 ``breaker_open`` / ``breaker_close``
-    fired by the :class:`repro.core.resilience.BreakerRegistry` when a
+    fired by the :class:`repro.core.peers.PeerTable` when a
     ``(context, proto)`` circuit breaker trips or recovers;
 ``budget_exhausted``
-    fired when the shared :class:`~repro.core.resilience.RetryBudget`
-    of a peer refuses a retry (the flapping-peer amplification guard
+    fired when the shared retry budget of a peer
+    (:class:`~repro.core.peers.PeerTable`) refuses a retry (the flapping-peer amplification guard
     kicked in);
 ``hedge``
     fired when a hedged second attempt is launched for a retry-safe
@@ -40,12 +40,6 @@ machinery publish events to:
     drop/delay/corrupt/disconnect/partition, so a test can line the
     recovery trail up against the faults that caused it.
 
-This module also hosts the **streaming latency trackers** that feed the
-hedging policy: a :class:`LatencyTracker` per ``(remote context,
-protocol)`` pair, held in the calling context's
-:class:`LatencyRegistry`, observing every successful request's duration
-(per the context clock — deterministic under simulation).
-
 Hooks attach globally (:data:`GLOBAL_HOOKS`) or per GP (``gp.hooks``).
 Handlers must be cheap and must not raise; a raising handler is
 detached and the error recorded, so observability can never take the
@@ -54,13 +48,10 @@ data path down.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List
 
-__all__ = ["HookBus", "GLOBAL_HOOKS", "HookEvent",
-           "LatencyTracker", "LatencyRegistry"]
+__all__ = ["HookBus", "GLOBAL_HOOKS", "HookEvent"]
 
 
 @dataclass(frozen=True)
@@ -117,86 +108,3 @@ class HookBus:
 
 #: Process-wide bus; per-GP buses are created on demand by the GP.
 GLOBAL_HOOKS = HookBus()
-
-
-class LatencyTracker:
-    """Streaming latency percentiles over a sliding window.
-
-    Keeps the last ``window`` observed durations in a ring buffer and
-    answers nearest-rank percentile queries over a sorted copy.  The
-    window bounds both memory and staleness: a protocol that suddenly
-    slows down ages its fast history out within ``window`` requests.
-    Observation order is the only input — no clock reads, no sampling
-    randomness — so the same request sequence always yields the same
-    percentile, which is what lets hedging assertions run bit-for-bit
-    under :class:`~repro.simnet.clock.VirtualClock`.
-    """
-
-    def __init__(self, window: int = 128):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self._samples: deque = deque(maxlen=window)
-        self._total = 0
-        self._lock = threading.Lock()
-
-    @property
-    def count(self) -> int:
-        """Total observations ever (not just the current window)."""
-        with self._lock:
-            return self._total
-
-    def observe(self, seconds: float) -> None:
-        if seconds < 0:
-            return
-        with self._lock:
-            self._samples.append(seconds)
-            self._total += 1
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Nearest-rank ``q``-quantile of the window (None when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            if not self._samples:
-                return None
-            ordered = sorted(self._samples)
-        index = min(int(q * len(ordered)), len(ordered) - 1)
-        return ordered[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"LatencyTracker(n={self._total}, "
-                f"window={len(self._samples)}/{self.window})")
-
-
-class LatencyRegistry:
-    """Per-``(remote context, proto)`` latency trackers for one caller.
-
-    The GP feeds every successful request's duration in through
-    :meth:`observe`; the hedging policy reads percentiles back through
-    :meth:`tracker`.
-    """
-
-    def __init__(self, window: int = 128):
-        self.window = window
-        self._trackers: Dict[Tuple[str, str], LatencyTracker] = {}
-        self._lock = threading.Lock()
-
-    def tracker(self, context_id: str, proto_id: str) -> LatencyTracker:
-        key = (context_id, proto_id)
-        with self._lock:
-            tracker = self._trackers.get(key)
-            if tracker is None:
-                tracker = LatencyTracker(window=self.window)
-                self._trackers[key] = tracker
-            return tracker
-
-    def observe(self, context_id: str, proto_id: str,
-                seconds: float) -> None:
-        self.tracker(context_id, proto_id).observe(seconds)
-
-    def quantile(self, context_id: str, proto_id: str,
-                 q: float) -> Optional[float]:
-        with self._lock:
-            tracker = self._trackers.get((context_id, proto_id))
-        return None if tracker is None else tracker.quantile(q)

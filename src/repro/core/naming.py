@@ -167,16 +167,6 @@ class NameServer:
     def resolve(self, name: str) -> dict:
         return resolve_reply(self._service, name, self._node)
 
-    @remote_method(retry_safe=True)
-    def resolve_or(self, name: str):
-        """Compatibility shim for clients written against the original
-        wire contract, where ``resolve`` returned the OR directly and
-        marshalled a :class:`NameNotFoundError` on every miss.  New
-        code should call ``resolve`` and unwrap with
-        :func:`resolve_oref`; this method exists so external callers
-        have a drop-in target while they migrate."""
-        return self._service.resolve(name)
-
     @remote_method
     def unbind(self, name: str) -> None:
         self._service.unbind(name)

@@ -1,4 +1,4 @@
-"""Resilient invocation policy objects: retries, budgets, and breakers.
+"""Resilient invocation policy objects: retries, hedging, breaker states.
 
 The paper's ordered protocol table is an *adaptation* mechanism: when a
 protocol stops working the ORB can fall through to the next applicable
@@ -8,38 +8,29 @@ entry (§3.2).  This module supplies the policy half of that story:
   invocation, how long to back off between them (exponential with seeded
   jitter, so simulated runs are bit-for-bit reproducible), and an
   optional per-call deadline measured on the calling context's clock.
-* :class:`RetryBudget` — a token bucket shared by *all* concurrent calls
-  of a context to one peer: first attempts deposit a fraction of a
-  token, every backoff retry withdraws a whole one, so a flapping peer
-  is hit with a bounded retry load instead of ``callers x max_attempts``
-  (the amplification hazard of per-call budgets).
-* :class:`RetryBudgetRegistry` — one budget per remote context id,
-  owned by the calling context and consulted by every GP bound there.
-* :class:`CircuitBreaker` — the classic closed / open / half-open state
-  machine over an arbitrary :class:`~repro.util.timing.TimeSource`; a
-  peer that keeps failing is shed *before* it burns retry budget.
-* :class:`BreakerRegistry` — one breaker per ``(context_id, proto_id)``
-  pair, shared by every GP bound in a context, publishing
-  ``breaker_open`` / ``breaker_close`` events to the hook bus.
 * :class:`HedgePolicy` — when and how to race a second attempt for
   retry-safe methods: after the tracked latency crosses a percentile,
   not after the timeout (the paper's adaptive table, §3.2, made
   proactive).
+* :class:`BreakerState` — the closed / open / half-open states of a
+  ``(context, proto)`` circuit breaker.
+
+The per-peer *state* these policies read — retry budgets, circuit
+breakers, pushback deadlines, latency windows — lives in one
+:class:`~repro.core.peers.PeerTable` per calling context.
 
 All randomness comes from :class:`repro.security.prng.Pcg32`; nothing
 here reads the wall clock directly, so under a
 :class:`~repro.simnet.clock.VirtualClock` the whole recovery path is
-deterministic (the budget and hedge trigger are pure counter/percentile
-arithmetic — no clock draws at all).
+deterministic.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.security.prng import Pcg32
 from repro.util.timing import TimeSource
@@ -47,13 +38,8 @@ from repro.util.timing import TimeSource
 __all__ = [
     "AttemptRecord",
     "RetryPolicy",
-    "RetryBudget",
-    "RetryBudgetRegistry",
     "HedgePolicy",
     "BreakerState",
-    "CircuitBreaker",
-    "BreakerRegistry",
-    "PushbackRegistry",
     "sleep_on",
 ]
 
@@ -136,106 +122,6 @@ class RetryPolicy:
                 f"base={self.base_backoff}, deadline={self.deadline})")
 
 
-class RetryBudget:
-    """Token-bucket retry budget shared across concurrent calls.
-
-    ``deposit()`` is called once per *logical* call (the first attempt
-    is always free — it is offered load, not amplification) and credits
-    ``deposit_per_call`` tokens, capped at ``max_tokens``.
-    ``try_withdraw()`` is called before every backoff retry and spends
-    ``withdraw_per_retry`` tokens; when the bucket cannot cover it the
-    retry is refused.  The steady-state effect is the classic ratio
-    budget: sustained retry traffic is bounded at
-    ``deposit_per_call / withdraw_per_retry`` of the offered load, plus
-    the ``max_tokens`` burst allowance.
-
-    The bucket starts full so a cold client can still ride out a brief
-    blip at full :class:`RetryPolicy` strength.  Purely counter-based —
-    no clock, no randomness — so budget decisions are bit-for-bit
-    deterministic under simulation.
-    """
-
-    def __init__(self, max_tokens: float = 10.0,
-                 deposit_per_call: float = 0.1,
-                 withdraw_per_retry: float = 1.0):
-        if max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-        if deposit_per_call < 0:
-            raise ValueError("deposit_per_call must be non-negative")
-        if withdraw_per_retry <= 0:
-            raise ValueError("withdraw_per_retry must be positive")
-        self.max_tokens = float(max_tokens)
-        self.deposit_per_call = float(deposit_per_call)
-        self.withdraw_per_retry = float(withdraw_per_retry)
-        self._tokens = float(max_tokens)
-        self.deposits = 0          # logical calls seen
-        self.withdrawals = 0       # retries granted
-        self.refusals = 0          # retries refused
-        self._lock = threading.Lock()
-
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
-    def deposit(self) -> None:
-        """Credit one logical call's worth of retry allowance."""
-        with self._lock:
-            self.deposits += 1
-            self._tokens = min(self._tokens + self.deposit_per_call,
-                               self.max_tokens)
-
-    def try_withdraw(self) -> bool:
-        """Spend one retry's worth of tokens; False when exhausted."""
-        with self._lock:
-            if self._tokens < self.withdraw_per_retry:
-                self.refusals += 1
-                return False
-            self._tokens -= self.withdraw_per_retry
-            self.withdrawals += 1
-            return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"RetryBudget(tokens={self._tokens:.2f}/"
-                f"{self.max_tokens}, retries={self.withdrawals}, "
-                f"refused={self.refusals})")
-
-
-class RetryBudgetRegistry:
-    """One :class:`RetryBudget` per remote context id.
-
-    Owned by the *calling* context; every GP bound there shares the
-    budget of the peer it talks to, which is exactly what bounds the
-    amplification of N concurrent ``invoke_async`` calls against one
-    flapping peer.
-    """
-
-    def __init__(self, max_tokens: float = 10.0,
-                 deposit_per_call: float = 0.1,
-                 withdraw_per_retry: float = 1.0):
-        self.max_tokens = max_tokens
-        self.deposit_per_call = deposit_per_call
-        self.withdraw_per_retry = withdraw_per_retry
-        self._budgets: Dict[str, RetryBudget] = {}
-        self._lock = threading.Lock()
-
-    def get(self, context_id: str) -> RetryBudget:
-        with self._lock:
-            budget = self._budgets.get(context_id)
-            if budget is None:
-                budget = RetryBudget(
-                    max_tokens=self.max_tokens,
-                    deposit_per_call=self.deposit_per_call,
-                    withdraw_per_retry=self.withdraw_per_retry)
-                self._budgets[context_id] = budget
-            return budget
-
-    def snapshot(self) -> Dict[str, float]:
-        """Remaining tokens per peer (diagnostics)."""
-        with self._lock:
-            return {cid: b.tokens for cid, b in self._budgets.items()}
-
-
 class HedgePolicy:
     """When to race a second attempt for a retry-safe method.
 
@@ -245,7 +131,7 @@ class HedgePolicy:
     the next-best applicable protocol-table entry (or a fresh connection
     over the same entry when the table has no alternative) and the first
     reply wins.  ``min_samples`` keeps the policy quiet until the
-    latency tracker has seen enough traffic to know what "slow" means;
+    latency window has seen enough traffic to know what "slow" means;
     ``min_delay``/``max_delay`` clamp the trigger.  ``max_hedges`` is
     the number of extra attempts per logical call (only 1 is currently
     raced).
@@ -271,18 +157,17 @@ class HedgePolicy:
         self.max_delay = max_delay
         self.max_hedges = max_hedges
 
-    def hedge_delay(self, tracker) -> Optional[float]:
+    def hedge_delay(self, latency) -> Optional[float]:
         """Seconds to wait before hedging, or None to not hedge.
 
-        ``tracker`` is a
-        :class:`~repro.core.instrumentation.LatencyTracker` (anything
-        with ``count`` and ``quantile(q)``).
+        ``latency`` is a :class:`~repro.core.peers.LatencyView`
+        (anything with ``count`` and ``quantile(q)``).
         """
         if not self.enabled or self.max_hedges < 1:
             return None
-        if tracker is None or tracker.count < self.min_samples:
+        if latency is None or latency.count < self.min_samples:
             return None
-        delay = tracker.quantile(self.quantile)
+        delay = latency.quantile(self.quantile)
         if delay is None:
             return None
         delay = max(delay, self.min_delay)
@@ -295,211 +180,7 @@ class HedgePolicy:
                 f"q={self.quantile}, min_samples={self.min_samples})")
 
 
-class PushbackRegistry:
-    """Per-peer overload pushback state for one calling context.
-
-    When a server sheds a request it answers with an
-    :class:`~repro.exceptions.OverloadError` carrying a ``retry_after``
-    hint.  The GP notes that hint here; until it elapses (measured on
-    the calling context's clock) every GP bound to the same peer
-
-    * stretches its backoff pauses to at least the remaining hint, and
-    * suppresses hedging — racing a *second* request at a server that
-      just said "too busy" is anti-cooperative.
-
-    Distinct from the circuit breaker on purpose: a breaker opens on a
-    peer that looks *dead*, pushback throttles a peer that is provably
-    *alive* (it answered!) but saturated.  An overload reply is neither
-    a breaker strike nor a reason to fail over to another protocol
-    entry — the peer is the same behind every entry.
-    """
-
-    def __init__(self, clock: TimeSource):
-        self.clock = clock
-        self._until: Dict[str, float] = {}
-        self._lock = threading.Lock()
-        self.notes = 0
-
-    def note(self, context_id: str, retry_after: float) -> None:
-        """Record a pushback hint from a peer; hints only extend."""
-        if retry_after <= 0:
-            return
-        until = self.clock.now() + retry_after
-        with self._lock:
-            self.notes += 1
-            if until > self._until.get(context_id, 0.0):
-                self._until[context_id] = until
-
-    def remaining(self, context_id: str) -> float:
-        """Seconds of pushback left for a peer (0.0 when none)."""
-        with self._lock:
-            until = self._until.get(context_id)
-            if until is None:
-                return 0.0
-            left = until - self.clock.now()
-            if left <= 0:
-                del self._until[context_id]
-                return 0.0
-            return left
-
-    def active(self, context_id: str) -> bool:
-        return self.remaining(context_id) > 0
-
-    def snapshot(self) -> Dict[str, float]:
-        """Remaining pushback seconds per peer (diagnostics)."""
-        with self._lock:
-            now = self.clock.now()
-            return {cid: round(until - now, 6)
-                    for cid, until in self._until.items() if until > now}
-
-
 class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
-
-
-class CircuitBreaker:
-    """Closed / open / half-open failure shedding over one time source.
-
-    ``failure_threshold`` consecutive failures open the breaker; while
-    open, ``allow()`` is False until ``cooldown`` seconds elapse on the
-    clock, at which point the breaker turns half-open and admits probe
-    traffic.  A success in half-open closes it; a failure re-opens it
-    (and restarts the cooldown).
-    """
-
-    def __init__(self, clock: TimeSource, failure_threshold: int = 5,
-                 cooldown: float = 30.0):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-        self.clock = clock
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self.state = BreakerState.CLOSED
-        self.failures = 0
-        self.opened_at: Optional[float] = None
-
-    def allow(self) -> bool:
-        """May a request pass right now?  (Transitions open→half-open
-        when the cooldown has elapsed.)"""
-        if self.state is BreakerState.OPEN:
-            if self.clock.now() - self.opened_at >= self.cooldown:
-                self.state = BreakerState.HALF_OPEN
-                return True
-            return False
-        return True
-
-    def record_success(self) -> bool:
-        """Note a success; returns True if this closed an open breaker."""
-        reopened = self.state is not BreakerState.CLOSED
-        self.state = BreakerState.CLOSED
-        self.failures = 0
-        self.opened_at = None
-        return reopened
-
-    def record_failure(self) -> bool:
-        """Note a failure; returns True if this opened the breaker."""
-        if self.state is BreakerState.HALF_OPEN:
-            self.state = BreakerState.OPEN
-            self.opened_at = self.clock.now()
-            return True
-        self.failures += 1
-        if self.state is BreakerState.CLOSED \
-                and self.failures >= self.failure_threshold:
-            self.state = BreakerState.OPEN
-            self.opened_at = self.clock.now()
-            return True
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"CircuitBreaker({self.state.value}, "
-                f"failures={self.failures})")
-
-
-class BreakerRegistry:
-    """Per-``(context_id, proto_id)`` breakers for one calling context.
-
-    GPs consult :meth:`allow` during protocol selection and report
-    outcomes through :meth:`record_success` / :meth:`record_failure`;
-    the :class:`~repro.core.health.HealthMonitor` feeds probe verdicts in
-    through :meth:`record_probe`.  State transitions are published as
-    ``breaker_open`` / ``breaker_close`` events on ``hooks`` (and the
-    global bus via the caller's emit path when routed through a GP).
-    """
-
-    def __init__(self, clock: TimeSource, failure_threshold: int = 5,
-                 cooldown: float = 30.0, hooks=None):
-        self.clock = clock
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        if hooks is None:
-            from repro.core.instrumentation import GLOBAL_HOOKS
-            hooks = GLOBAL_HOOKS
-        self.hooks = hooks
-        self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
-        self._lock = threading.Lock()
-
-    def get(self, context_id: str, proto_id: str) -> CircuitBreaker:
-        key = (context_id, proto_id)
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    self.clock, failure_threshold=self.failure_threshold,
-                    cooldown=self.cooldown)
-                self._breakers[key] = breaker
-            return breaker
-
-    def allow(self, context_id: str, proto_id: str) -> bool:
-        with self._lock:
-            breaker = self._breakers.get((context_id, proto_id))
-        return True if breaker is None else breaker.allow()
-
-    def record_success(self, context_id: str, proto_id: str) -> None:
-        if self.get(context_id, proto_id).record_success():
-            self.hooks.emit("breaker_close", context_id=context_id,
-                            proto_id=proto_id)
-
-    def record_failure(self, context_id: str, proto_id: str) -> None:
-        breaker = self.get(context_id, proto_id)
-        if breaker.record_failure():
-            self.hooks.emit("breaker_open", context_id=context_id,
-                            proto_id=proto_id,
-                            failures=breaker.failures,
-                            cooldown=breaker.cooldown)
-
-    def record_probe(self, context_id: str, alive: bool) -> None:
-        """Feed a health-probe verdict into every breaker of a context.
-
-        Only breakers that already exist are touched — a probe says
-        nothing about protocols nobody has tried yet.
-        """
-        with self._lock:
-            keys = [k for k in self._breakers if k[0] == context_id]
-        for cid, pid in keys:
-            if alive:
-                self.record_success(cid, pid)
-            else:
-                self.record_failure(cid, pid)
-
-    def state(self, context_id: str, proto_id: str) -> BreakerState:
-        with self._lock:
-            breaker = self._breakers.get((context_id, proto_id))
-        return BreakerState.CLOSED if breaker is None else breaker.state
-
-    def open_protos(self, context_id: str) -> list:
-        """Proto ids currently shed for a context (diagnostics)."""
-        with self._lock:
-            return sorted(pid for (cid, pid), b in self._breakers.items()
-                          if cid == context_id
-                          and b.state is BreakerState.OPEN)
-
-    def open_keys(self) -> list:
-        """All currently-open breakers as ``"context:proto"`` strings."""
-        with self._lock:
-            return sorted(f"{cid}:{pid}"
-                          for (cid, pid), b in self._breakers.items()
-                          if b.state is BreakerState.OPEN)

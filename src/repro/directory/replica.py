@@ -42,6 +42,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.objref import ObjectReference
+from repro.core.peers import PeerTable
 from repro.core.resilience import RetryPolicy
 from repro.directory.state import (
     OP_BIND,
@@ -72,7 +73,7 @@ class DirectoryReplica:
     ----------
     ctx:
         The serving context; supplies the clock and binds peer GPs (so
-        peer traffic goes through this context's breakers/budgets).
+        peer traffic takes this context's ordinary invoke path).
     node_id:
         Stable name within the group (votes and redirects carry it).
     seed / stream:
@@ -140,8 +141,6 @@ class DirectoryReplica:
         lease machinery *is* the retry layer here — a missed heartbeat
         must surface as a missed heartbeat, not dissolve into backoff.
         """
-        from repro.core.resilience import BreakerRegistry
-
         deadline = call_deadline if call_deadline is not None \
             else self.lease_seconds
         # Peer breakers cool down at heartbeat cadence, not the
@@ -149,8 +148,7 @@ class DirectoryReplica:
         # heartbeat must be able to probe the peer immediately — a
         # 30-second breaker hold would keep a healed group split long
         # after the network recovered.
-        breakers = BreakerRegistry(self.clock,
-                                   cooldown=self.heartbeat_seconds)
+        peers = PeerTable(self.clock, cooldown=self.heartbeat_seconds)
         with self._lock:
             self._close_peers()
             for node_id, oref in peer_orefs.items():
@@ -158,7 +156,7 @@ class DirectoryReplica:
                     continue
                 gp = self.ctx.bind(
                     oref.clone(),
-                    breakers=breakers,
+                    peers=peers,
                     retry_policy=RetryPolicy(max_attempts=1,
                                              deadline=deadline))
                 self._peers[node_id] = gp

@@ -7,8 +7,8 @@ Four instrument shapes cover everything the hook bus can tell us:
 * :class:`Gauge` — a value that goes both ways (breakers currently
   open);
 * :class:`Histogram` — a value distribution answered with nearest-rank
-  quantiles (request latency), the same quantile definition the hedging
-  :class:`~repro.core.instrumentation.LatencyTracker` uses;
+  quantiles (request latency), the same :func:`nearest_rank` the
+  hedging latency windows of :class:`~repro.core.peers.PeerTable` use;
 * :class:`TimeSeries` — per-time-bucket sub-histograms keyed on a
   :class:`~repro.util.timing.TimeSource`, the substrate degradation
   curves are built from.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-__all__ = ["OnlineStats", "EwmAverage", "percentile"]
+__all__ = ["OnlineStats", "EwmAverage"]
 
 
 class OnlineStats:
@@ -90,17 +90,3 @@ class EwmAverage:
             self.value += self.alpha * (x - self.value)
         return self.value
 
-
-def percentile(sorted_xs, q: float) -> float:
-    """Linear-interpolation percentile of an already-sorted sequence."""
-    if not sorted_xs:
-        raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    if len(sorted_xs) == 1:
-        return float(sorted_xs[0])
-    pos = (len(sorted_xs) - 1) * (q / 100.0)
-    lo = int(math.floor(pos))
-    hi = int(math.ceil(pos))
-    frac = pos - lo
-    return float(sorted_xs[lo]) * (1 - frac) + float(sorted_xs[hi]) * frac

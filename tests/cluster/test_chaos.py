@@ -18,7 +18,8 @@ from repro.cluster import (
 )
 from repro.core import ORB
 from repro.core.instrumentation import GLOBAL_HOOKS
-from repro.core.resilience import BreakerRegistry, RetryPolicy
+from repro.core.peers import PeerTable
+from repro.core.resilience import RetryPolicy
 from repro.faults import FaultPlan, FaultRule
 from repro.metrics import DegradationEnvelopeError, assert_degradation
 from repro.simnet import ETHERNET_10, NetworkSimulator, Topology
@@ -36,7 +37,7 @@ def make_world(seed=SEED):
     orb = ORB(simulator=sim)
     nodes = build_cluster(orb, ["m1", "m2"], workers_per_node=1)
     client = orb.context("client", machine="m0")
-    client.breakers = BreakerRegistry(client.clock, cooldown=1.0)
+    client.peers = PeerTable(client.clock, cooldown=1.0)
     table = bind_workers(client, nodes,
                          retry_policy=RetryPolicy(max_attempts=4,
                                                   seed=seed))

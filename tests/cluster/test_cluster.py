@@ -91,7 +91,7 @@ class TestSyntheticWorkload:
         assert result.latencies.count == 40
         assert result.makespan > 0
         assert sum(result.per_object_requests.values()) == 40
-        assert result.latency_percentile(50) > 0
+        assert result.latency_percentile(0.5) > 0
 
     def test_run_with_rebalance_hook(self):
         sim, orb = make_world(2)

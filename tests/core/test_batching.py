@@ -43,21 +43,24 @@ class TestPolicy:
         assert policy.window_for(None) == 0.001
 
     def test_window_tracks_p50_clamped(self):
-        from repro.core.instrumentation import LatencyTracker
+        from repro.core.instrumentation import HookBus
+        from repro.core.peers import PeerTable
+        from repro.simnet.clock import VirtualClock
 
         policy = BatchPolicy(min_window=0.001, max_window=0.010,
                              window_fraction=0.5)
-        tracker = LatencyTracker()
+        peers = PeerTable(VirtualClock(), hooks=HookBus())
+        slow, fast = ("slow", "nexus"), ("fast", "nexus")
         for _ in range(10):
-            tracker.observe(0.008)
-        assert policy.window_for(tracker) == pytest.approx(0.004)
+            peers.record_success(*slow, 0.008)
+        assert policy.window_for(peers.latency(*slow)) \
+            == pytest.approx(0.004)
         for _ in range(50):
-            tracker.observe(10.0)       # slow peer: clamp to max
-        assert policy.window_for(tracker) == 0.010
-        fast = LatencyTracker()
+            peers.record_success(*slow, 10.0)   # slow peer: clamp to max
+        assert policy.window_for(peers.latency(*slow)) == 0.010
         for _ in range(10):
-            fast.observe(1e-7)          # fast peer: clamp to min
-        assert policy.window_for(fast) == 0.001
+            peers.record_success(*fast, 1e-7)   # fast peer: clamp to min
+        assert policy.window_for(peers.latency(*fast)) == 0.001
 
 
 class TestTransparentCoalescing:
@@ -178,10 +181,10 @@ class TestShutdownFlush:
         # A two-way call parks in the 10s window on a helper thread...
         parked = gp.invoke_async("add", 5)
         deadline = time.monotonic() + 5
-        while client.batching.pending() == 0 \
+        while client.peers.pending_calls() == 0 \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert client.batching.pending() == 1
+        assert client.peers.pending_calls() == 1
         # ...then a oneway must flush the whole batch eagerly.
         started = time.monotonic()
         gp.invoke_oneway("bump")
@@ -197,13 +200,13 @@ class TestShutdownFlush:
         enable_batching(client, min_window=10.0, max_window=10.0)
         parked = gp.invoke_async("add", 7)
         deadline = time.monotonic() + 5
-        while client.batching.pending() == 0 \
+        while client.peers.pending_calls() == 0 \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert client.batching.pending() == 1
+        assert client.peers.pending_calls() == 1
         gp.close()
         assert parked.result(timeout=30) == 7
-        assert client.batching.pending() == 0
+        assert client.peers.pending_calls() == 0
 
     def test_coalescer_flush_returns_count(self, wall_pair):
         server, client = wall_pair
@@ -211,11 +214,11 @@ class TestShutdownFlush:
         enable_batching(client, min_window=10.0)
         gp.invoke_async("add", 1)
         deadline = time.monotonic() + 5
-        while client.batching.pending() == 0 \
+        while client.peers.pending_calls() == 0 \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert client.batching.flush_all() == 1
-        assert client.batching.flush_all() == 0
+        assert client.peers.flush() == 1
+        assert client.peers.flush() == 0
         gp.close()
 
 
@@ -339,7 +342,7 @@ class TestCoalescerUnit:
         assert any(f["size"] == 2 for f in flushes), \
             [f["size"] for f in flushes]
         key = (gp1.oref.context_id, gp1.select_protocol().proto_id)
-        co = client.batching.coalescer(*key)
+        co = client.peers.coalescer(client, *key)
         assert isinstance(co, CallCoalescer)
         assert co.pending == 0
         gp1.close(); gp2.close()
@@ -352,7 +355,7 @@ class TestCoalescerUnit:
         gp = client.bind(contexts["s1"].export(Counter()))
         enable_batching(client, min_window=5.0)
         assert gp.invoke("add", 1) == 1  # would hang if it coalesced
-        assert client.batching.pending() == 0
+        assert client.peers.pending_calls() == 0
 
 
 class TestScopeDirect:

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from repro.core.resilience import RetryBudgetRegistry, RetryPolicy
+from repro.core.peers import PeerTable
+from repro.core.resilience import RetryPolicy
 from repro.exceptions import HpcError
 from repro.idl import remote_interface, remote_method
 
@@ -163,8 +164,8 @@ class TestMutationUnderLoad:
         # Churn deliberately kills cached clients mid-call; give the
         # retries generous headroom so the test asserts *safety*, not
         # budget arithmetic.
-        client.retry_budgets = RetryBudgetRegistry(max_tokens=10_000,
-                                                   deposit_per_call=0)
+        client.peers = PeerTable(client.clock, max_tokens=10_000,
+                                 deposit_per_call=0)
         servant = SafeCounter()
         oref = server.export(servant)
         gp = client.bind(oref,

@@ -9,7 +9,8 @@ from repro.core import LoadBalancer
 from repro.core.health import HealthMonitor
 from repro.core.instrumentation import HookBus
 from repro.core.objref import ProtocolEntry
-from repro.core.resilience import BreakerRegistry, BreakerState
+from repro.core.peers import PeerTable
+from repro.core.resilience import BreakerState
 
 from tests.core.conftest import Counter
 
@@ -64,17 +65,16 @@ class TestProbeFailures:
         transitions = []
         bus.on("breaker_open", lambda e: transitions.append("open"))
         bus.on("breaker_close", lambda e: transitions.append("close"))
-        home.breakers = BreakerRegistry(home.clock, failure_threshold=1,
-                                        hooks=bus)
+        home.peers = PeerTable(home.clock, failure_threshold=1, hooks=bus)
         # A breaker exists only once some GP has used the pair.
-        home.breakers.get("target-hf", "nexus")
+        home.peers.breaker("target-hf", "nexus")
 
-        monitor = HealthMonitor(home)       # defaults to home.breakers
-        assert monitor.breakers is home.breakers
+        monitor = HealthMonitor(home)       # defaults to home.peers
+        assert monitor.peers is home.peers
         monitor.watch_context(target)
         target.stop()
         assert not monitor.probe("target-hf").alive
-        assert home.breakers.state("target-hf", "nexus") \
+        assert home.peers.breaker("target-hf", "nexus").state \
             is BreakerState.OPEN
         assert transitions == ["open"]
 
@@ -86,7 +86,7 @@ class TestProbeFailures:
         revived = wall_orb.context("target-hf")
         monitor.watch_context(revived)      # re-learn its addresses
         assert monitor.probe("target-hf").alive
-        assert home.breakers.state("target-hf", "nexus") \
+        assert home.peers.breaker("target-hf", "nexus").state \
             is BreakerState.CLOSED
         assert transitions == ["open", "close"]
         revived.stop()

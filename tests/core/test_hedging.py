@@ -8,13 +8,19 @@ whole run is bit-for-bit reproducible from the seed.
 import pytest
 
 from repro.core import ORB
-from repro.core.instrumentation import HookBus, LatencyTracker
+from repro.core import peers as peers_module
+from repro.core.instrumentation import HookBus
+from repro.core.peers import PeerTable
 from repro.core.resilience import HedgePolicy
 from repro.faults import FaultPlan
 from repro.simnet import NetworkSimulator, paper_testbed
+from repro.simnet.clock import VirtualClock
 
 from tests.core.conftest import Counter
 from tests.core.test_resilience import Register
+
+#: The ``(peer, proto)`` latency window the unit tests feed.
+KEY = ("peer", "nexus")
 
 
 class TestHedgePolicyUnit:
@@ -31,54 +37,60 @@ class TestHedgePolicyUnit:
             HedgePolicy(min_delay=2.0, max_delay=1.0)
 
     def test_disabled_never_hedges(self):
-        tracker = LatencyTracker()
+        peers = PeerTable(VirtualClock(), hooks=HookBus())
         for _ in range(100):
-            tracker.observe(1.0)
-        assert HedgePolicy(enabled=False).hedge_delay(tracker) is None
-        assert HedgePolicy(max_hedges=0).hedge_delay(tracker) is None
+            peers.record_success(*KEY, 1.0)
+        window = peers.latency(*KEY)
+        assert HedgePolicy(enabled=False).hedge_delay(window) is None
+        assert HedgePolicy(max_hedges=0).hedge_delay(window) is None
         assert HedgePolicy().hedge_delay(None) is None
 
     def test_min_samples_gate(self):
         policy = HedgePolicy(min_samples=5)
-        tracker = LatencyTracker()
+        peers = PeerTable(VirtualClock(), hooks=HookBus())
         for _ in range(4):
-            tracker.observe(1.0)
-        assert policy.hedge_delay(tracker) is None
-        tracker.observe(1.0)
-        assert policy.hedge_delay(tracker) == pytest.approx(1.0)
+            peers.record_success(*KEY, 1.0)
+        assert policy.hedge_delay(peers.latency(*KEY)) is None
+        peers.record_success(*KEY, 1.0)
+        assert policy.hedge_delay(peers.latency(*KEY)) \
+            == pytest.approx(1.0)
 
     def test_delay_is_the_tracked_quantile_clamped(self):
-        tracker = LatencyTracker()
+        peers = PeerTable(VirtualClock(), hooks=HookBus())
         for ms in range(1, 101):                 # 0.01 .. 1.00
-            tracker.observe(ms / 100.0)
+            peers.record_success(*KEY, ms / 100.0)
+        window = peers.latency(*KEY)
         policy = HedgePolicy(quantile=0.9, min_samples=10)
-        assert policy.hedge_delay(tracker) == pytest.approx(0.91)
+        assert policy.hedge_delay(window) == pytest.approx(0.91)
         low = HedgePolicy(quantile=0.9, min_samples=10, min_delay=2.0)
-        assert low.hedge_delay(tracker) == pytest.approx(2.0)
+        assert low.hedge_delay(window) == pytest.approx(2.0)
         high = HedgePolicy(quantile=0.9, min_samples=10, max_delay=0.5)
-        assert high.hedge_delay(tracker) == pytest.approx(0.5)
+        assert high.hedge_delay(window) == pytest.approx(0.5)
 
 
 class TestLatencyTrackerUnit:
     def test_nearest_rank_quantile(self):
-        tracker = LatencyTracker()
-        assert tracker.quantile(0.5) is None     # no samples yet
+        peers = PeerTable(VirtualClock(), hooks=HookBus())
+        assert peers.latency(*KEY).quantile(0.5) is None  # no samples
         for v in (0.3, 0.1, 0.2, 0.4):
-            tracker.observe(v)
-        assert tracker.quantile(0.5) == pytest.approx(0.3)
-        assert tracker.quantile(0.99) == pytest.approx(0.4)
+            peers.record_success(*KEY, v)
+        window = peers.latency(*KEY)
+        assert window.quantile(0.5) == pytest.approx(0.3)
+        assert window.quantile(0.99) == pytest.approx(0.4)
 
-    def test_window_slides(self):
-        tracker = LatencyTracker(window=3)
+    def test_window_slides(self, monkeypatch):
+        monkeypatch.setattr(peers_module, "LATENCY_WINDOW", 3)
+        peers = PeerTable(VirtualClock(), hooks=HookBus())
         for v in (9.0, 1.0, 1.0, 1.0):
-            tracker.observe(v)
-        assert tracker.count == 4                # total ever seen
-        assert tracker.quantile(0.99) == pytest.approx(1.0)  # 9.0 aged out
+            peers.record_success(*KEY, v)
+        window = peers.latency(*KEY)
+        assert window.count == 4                 # total ever seen
+        assert window.quantile(0.99) == pytest.approx(1.0)  # 9.0 aged out
 
     def test_negative_samples_ignored(self):
-        tracker = LatencyTracker()
-        tracker.observe(-1.0)
-        assert tracker.count == 0
+        peers = PeerTable(VirtualClock(), hooks=HookBus())
+        peers.record_success(*KEY, -1.0)
+        assert peers.latency(*KEY).count == 0
 
 
 def _world(hedge_policy=None):

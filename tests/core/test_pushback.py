@@ -1,18 +1,14 @@
-"""Overload pushback, client side: the PushbackRegistry, and the GP's
-treatment of `OverloadError` as throttle-not-failure (no breaker
-strike, stretched backoff, suppressed hedging)."""
+"""Overload pushback, client side: the PeerTable's pushback deadlines,
+and the GP's treatment of `OverloadError` as throttle-not-failure (no
+breaker strike, stretched backoff, suppressed hedging)."""
 
 import pytest
 
 from repro.core import ORB
 from repro.core.instrumentation import HookBus
+from repro.core.peers import PeerTable
 from repro.core.protocol import ProtocolClient
-from repro.core.resilience import (
-    BreakerState,
-    HedgePolicy,
-    PushbackRegistry,
-    RetryPolicy,
-)
+from repro.core.resilience import BreakerState, HedgePolicy, RetryPolicy
 from repro.exceptions import OverloadError, RetryExhaustedError
 from repro.simnet.clock import VirtualClock
 
@@ -22,39 +18,39 @@ from tests.core.test_resilience import Register
 class TestPushbackRegistry:
     def test_note_and_remaining(self):
         clock = VirtualClock()
-        reg = PushbackRegistry(clock)
-        reg.note("peer", 0.5)
-        assert reg.active("peer")
-        assert reg.remaining("peer") == pytest.approx(0.5)
+        reg = PeerTable(clock)
+        reg.note_pushback("peer", 0.5)
+        assert reg.pushback_remaining("peer")
+        assert reg.pushback_remaining("peer") == pytest.approx(0.5)
         clock.advance(0.3)
-        assert reg.remaining("peer") == pytest.approx(0.2)
+        assert reg.pushback_remaining("peer") == pytest.approx(0.2)
         clock.advance(0.3)
-        assert not reg.active("peer")
-        assert reg.remaining("peer") == 0.0
+        assert not reg.pushback_remaining("peer")
+        assert reg.pushback_remaining("peer") == 0.0
 
     def test_notes_only_extend(self):
         clock = VirtualClock()
-        reg = PushbackRegistry(clock)
-        reg.note("peer", 0.5)
-        reg.note("peer", 0.1)          # shorter hint must not shrink
-        assert reg.remaining("peer") == pytest.approx(0.5)
-        reg.note("peer", 0.9)
-        assert reg.remaining("peer") == pytest.approx(0.9)
+        reg = PeerTable(clock)
+        reg.note_pushback("peer", 0.5)
+        reg.note_pushback("peer", 0.1)  # shorter hint must not shrink
+        assert reg.pushback_remaining("peer") == pytest.approx(0.5)
+        reg.note_pushback("peer", 0.9)
+        assert reg.pushback_remaining("peer") == pytest.approx(0.9)
 
     def test_nonpositive_hints_ignored(self):
-        reg = PushbackRegistry(VirtualClock())
-        reg.note("peer", 0.0)
-        reg.note("peer", -1.0)
-        assert not reg.active("peer")
-        assert reg.notes == 0
+        reg = PeerTable(VirtualClock())
+        reg.note_pushback("peer", 0.0)
+        reg.note_pushback("peer", -1.0)
+        assert not reg.pushback_remaining("peer")
+        assert reg.pushback_notes == 0
 
     def test_snapshot_lists_active_peers_only(self):
         clock = VirtualClock()
-        reg = PushbackRegistry(clock)
-        reg.note("a", 0.5)
-        reg.note("b", 0.1)
+        reg = PeerTable(clock)
+        reg.note_pushback("a", 0.5)
+        reg.note_pushback("b", 0.1)
         clock.advance(0.2)
-        snap = reg.snapshot()
+        snap = reg.snapshot()["pushback"]
         assert "a" in snap and "b" not in snap
 
 
@@ -105,7 +101,7 @@ class TestGlobalPointerUnderPushback:
         invoke, _state = overloading_invoke(times=2)
         monkeypatch.setattr(ProtocolClient, "invoke", invoke)
         gp.invoke("put", 1)
-        breaker = client.breakers.get(server.id, "nexus")
+        breaker = client.peers.breaker(server.id, "nexus")
         assert breaker.state is BreakerState.CLOSED
         assert breaker.failures == 0
 
@@ -113,13 +109,13 @@ class TestGlobalPointerUnderPushback:
         _orb, server, client, gp = world
         invoke, _state = overloading_invoke(times=1, retry_after=0.02)
         monkeypatch.setattr(ProtocolClient, "invoke", invoke)
-        assert client.pushback.notes == 0
+        assert client.peers.pushback_notes == 0
         gp.invoke("put", 2)
-        # the hint was recorded on the *context's* registry, where every
+        # the hint was recorded on the *context's* table, where every
         # GP bound to the same peer consults it (the GP slept out the
         # retry-after before succeeding, so it is no longer active)
-        assert client.pushback.notes == 1
-        assert not client.pushback.active(server.id)
+        assert client.peers.pushback_notes == 1
+        assert not client.peers.pushback_remaining(server.id)
 
     def test_no_failover_events_on_pushback(self, world, monkeypatch):
         """Pushback must not demote the entry — there is no healthier
@@ -154,8 +150,8 @@ class TestGlobalPointerUnderPushback:
         # ...but while the peer's pushback window is open, no hedge
         # leg may launch: racing a second request at a saturated
         # server amplifies exactly the load it asked us to shed.
-        client.pushback.note(server.id, 60.0)
+        client.peers.note_pushback(server.id, 60.0)
         for v in range(20):
             gp.invoke("put", v)
-        assert client.pushback.active(server.id)
+        assert client.peers.pushback_remaining(server.id)
         assert hedges == []

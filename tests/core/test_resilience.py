@@ -4,13 +4,8 @@ recovery loop under deterministic fault injection."""
 import pytest
 
 from repro.core.instrumentation import HookBus
-from repro.core.resilience import (
-    BreakerRegistry,
-    BreakerState,
-    CircuitBreaker,
-    RetryPolicy,
-    sleep_on,
-)
+from repro.core.peers import PeerTable
+from repro.core.resilience import BreakerState, RetryPolicy, sleep_on
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -89,98 +84,106 @@ class TestSleepOn:
         assert clock.now() == 0.0
 
 
+#: The ``(peer, proto)`` pair the breaker unit tests drive.
+KEY = ("ctx", "nexus")
+
+
 class TestCircuitBreaker:
     def test_threshold_opens(self):
         clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=3, cooldown=10.0)
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is True
-        assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow()
+        peers = PeerTable(clock, failure_threshold=3, cooldown=10.0,
+                          hooks=HookBus())
+        assert peers.record_failure(*KEY) is False
+        assert peers.record_failure(*KEY) is False
+        assert peers.record_failure(*KEY) is True
+        assert peers.breaker(*KEY).state is BreakerState.OPEN
+        assert not peers.allow(*KEY)
 
     def test_cooldown_half_opens(self):
         clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=1, cooldown=5.0)
-        breaker.record_failure()
-        assert not breaker.allow()
+        peers = PeerTable(clock, failure_threshold=1, cooldown=5.0,
+                          hooks=HookBus())
+        peers.record_failure(*KEY)
+        assert not peers.allow(*KEY)
         clock.advance(4.9)
-        assert not breaker.allow()
+        assert not peers.allow(*KEY)
         clock.advance(0.2)
-        assert breaker.allow()
-        assert breaker.state is BreakerState.HALF_OPEN
+        assert peers.allow(*KEY)
+        assert peers.breaker(*KEY).state is BreakerState.HALF_OPEN
 
     def test_half_open_failure_reopens(self):
         clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=1, cooldown=5.0)
-        breaker.record_failure()
+        peers = PeerTable(clock, failure_threshold=1, cooldown=5.0,
+                          hooks=HookBus())
+        peers.record_failure(*KEY)
         clock.advance(5.0)
-        assert breaker.allow()
-        assert breaker.record_failure() is True   # re-opened
-        assert not breaker.allow()                # cooldown restarted
+        assert peers.allow(*KEY)
+        assert peers.record_failure(*KEY) is True   # re-opened
+        assert not peers.allow(*KEY)                # cooldown restarted
 
     def test_half_open_success_closes(self):
         clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=1, cooldown=5.0)
-        breaker.record_failure()
+        peers = PeerTable(clock, failure_threshold=1, cooldown=5.0,
+                          hooks=HookBus())
+        peers.record_failure(*KEY)
         clock.advance(5.0)
-        breaker.allow()
-        assert breaker.record_success() is True
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allow()
+        peers.allow(*KEY)
+        assert peers.record_success(*KEY) is True
+        assert peers.breaker(*KEY).state is BreakerState.CLOSED
+        assert peers.allow(*KEY)
 
     def test_success_resets_failure_count(self):
         clock = VirtualClock()
-        breaker = CircuitBreaker(clock, failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
+        peers = PeerTable(clock, failure_threshold=2, hooks=HookBus())
+        peers.record_failure(*KEY)
+        peers.record_success(*KEY)
+        peers.record_failure(*KEY)
+        assert peers.breaker(*KEY).state is BreakerState.CLOSED
 
 
 class TestBreakerRegistry:
     def test_unknown_pair_allows(self):
-        registry = BreakerRegistry(VirtualClock(), hooks=HookBus())
-        assert registry.allow("ctx", "nexus")
-        assert registry.state("ctx", "nexus") is BreakerState.CLOSED
+        peers = PeerTable(VirtualClock(), hooks=HookBus())
+        assert peers.allow("ctx", "nexus")
+        assert peers.breaker("ctx", "nexus").state is BreakerState.CLOSED
 
     def test_open_event_emitted(self):
         bus = HookBus()
         events = []
         bus.on("breaker_open", lambda e: events.append(e.data))
-        registry = BreakerRegistry(VirtualClock(), failure_threshold=2,
-                                   hooks=bus)
-        registry.record_failure("ctx", "nexus")
-        registry.record_failure("ctx", "nexus")
-        assert not registry.allow("ctx", "nexus")
+        peers = PeerTable(VirtualClock(), failure_threshold=2, hooks=bus)
+        peers.record_failure("ctx", "nexus")
+        peers.record_failure("ctx", "nexus")
+        assert not peers.allow("ctx", "nexus")
         assert events[0]["context_id"] == "ctx"
         assert events[0]["proto_id"] == "nexus"
-        assert registry.open_protos("ctx") == ["nexus"]
-        assert registry.open_keys() == ["ctx:nexus"]
+        assert [proto for proto, b in peers.row("ctx").breakers.items()
+                if b.state is BreakerState.OPEN] == ["nexus"]
+        assert peers.open_keys() == ["ctx:nexus"]
 
     def test_close_event_emitted(self):
         bus = HookBus()
         events = []
         bus.on("breaker_close", lambda e: events.append(e.data))
         clock = VirtualClock()
-        registry = BreakerRegistry(clock, failure_threshold=1,
-                                   cooldown=1.0, hooks=bus)
-        registry.record_failure("ctx", "shm")
+        peers = PeerTable(clock, failure_threshold=1, cooldown=1.0,
+                          hooks=bus)
+        peers.record_failure("ctx", "shm")
         clock.advance(1.0)
-        assert registry.allow("ctx", "shm")       # half-open probe
-        registry.record_success("ctx", "shm")
+        assert peers.allow("ctx", "shm")          # half-open probe
+        peers.record_success("ctx", "shm")
         assert events == [{"context_id": "ctx", "proto_id": "shm"}]
 
     def test_probe_feeds_only_existing_breakers(self):
-        registry = BreakerRegistry(VirtualClock(), failure_threshold=1,
-                                   hooks=HookBus())
-        registry.record_probe("ctx", alive=False)   # no breakers yet
-        assert registry.open_keys() == []
-        registry.get("ctx", "nexus")
-        registry.record_probe("ctx", alive=False)
-        assert registry.open_keys() == ["ctx:nexus"]
-        registry.record_probe("other", alive=False)  # different context
-        assert registry.open_keys() == ["ctx:nexus"]
+        peers = PeerTable(VirtualClock(), failure_threshold=1,
+                          hooks=HookBus())
+        peers.record_probe("ctx", alive=False)      # no breakers yet
+        assert peers.open_keys() == []
+        peers.breaker("ctx", "nexus")
+        peers.record_probe("ctx", alive=False)
+        assert peers.open_keys() == ["ctx:nexus"]
+        peers.record_probe("other", alive=False)    # different context
+        assert peers.open_keys() == ["ctx:nexus"]
 
 
 class TestResilientInvocation:
@@ -310,8 +313,8 @@ class TestResilientInvocation:
         bus.on("breaker_open", lambda e: transitions.append("open"))
         bus.on("breaker_close", lambda e: transitions.append("close"))
         clock = contexts["client"].clock
-        gp.breakers = BreakerRegistry(clock, failure_threshold=1,
-                                      cooldown=60.0, hooks=bus)
+        gp.peers = PeerTable(clock, failure_threshold=1, cooldown=60.0,
+                             hooks=bus)
         plan = FaultPlan(hooks=HookBus())
         plan.drop(src="M1", dst="M0")
         sim.fault_plan = plan
@@ -319,7 +322,7 @@ class TestResilientInvocation:
             gp.invoke("put", 1)
         assert "nexus" in str(err.value)
         assert err.value.attempts           # trail survived the trip
-        assert gp.breakers.state("s1", "nexus") is BreakerState.OPEN
+        assert gp.peers.breaker("s1", "nexus").state is BreakerState.OPEN
 
         # While open, selection refuses without touching the network.
         calls_before = servant.calls
@@ -331,16 +334,16 @@ class TestResilientInvocation:
         sim.fault_plan = None
         clock.advance(60.0)
         assert gp.invoke("put", 3) == 3
-        assert gp.breakers.state("s1", "nexus") is BreakerState.CLOSED
+        assert gp.peers.breaker("s1", "nexus").state \
+            is BreakerState.CLOSED
         assert transitions == ["open", "close"]
 
     def test_open_breakers_visible_in_describe(self, sim_world):
         servant = Register()
         _orb, sim, _tb, contexts = sim_world
         client = contexts["client"]
-        client.breakers = BreakerRegistry(client.clock,
-                                          failure_threshold=1,
-                                          cooldown=60.0, hooks=HookBus())
+        client.peers = PeerTable(client.clock, failure_threshold=1,
+                                 cooldown=60.0, hooks=HookBus())
         oref = contexts["s1"].export(servant)
         gp = client.bind(oref)
         plan = FaultPlan(hooks=HookBus())

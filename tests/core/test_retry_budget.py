@@ -1,24 +1,22 @@
 """Shared per-peer retry budgets: token-bucket unit behaviour and the
 flapping-peer amplification bound (the tentpole acceptance scenario:
 total retries across 20 concurrent ``invoke_async`` calls are bounded by
-the context's shared :class:`RetryBudget`, not by 20x the per-GP
+the peer's shared retry budget in the context's :class:`PeerTable`,
+not by 20x the per-GP
 ``max_attempts``)."""
 
 import pytest
 
 from repro.core import ORB
 from repro.core.instrumentation import HookBus
-from repro.core.resilience import (
-    BreakerRegistry,
-    RetryBudget,
-    RetryBudgetRegistry,
-)
+from repro.core.peers import PeerTable
 from repro.exceptions import (
     RetryBudgetExhaustedError,
     RetryExhaustedError,
 )
 from repro.faults import FaultPlan
 from repro.simnet import NetworkSimulator, paper_testbed
+from repro.simnet.clock import VirtualClock
 
 from tests.core.test_resilience import Register
 
@@ -26,47 +24,51 @@ from tests.core.test_resilience import Register
 class TestRetryBudgetUnit:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryBudget(max_tokens=0)
+            PeerTable(VirtualClock(), max_tokens=0)
         with pytest.raises(ValueError):
-            RetryBudget(deposit_per_call=-0.1)
+            PeerTable(VirtualClock(), deposit_per_call=-0.1)
         with pytest.raises(ValueError):
-            RetryBudget(withdraw_per_retry=0)
+            PeerTable(VirtualClock(), withdraw_per_retry=0)
 
     def test_starts_full_and_deposits_cap(self):
-        budget = RetryBudget(max_tokens=2.0, deposit_per_call=0.5)
+        peers = PeerTable(VirtualClock(), max_tokens=2.0,
+                          deposit_per_call=0.5)
+        budget = peers.row("peer")
         assert budget.tokens == 2.0
-        budget.deposit()
+        peers.deposit("peer")
         assert budget.tokens == 2.0          # capped, not 2.5
         assert budget.deposits == 1
 
     def test_withdraw_until_refused(self):
-        budget = RetryBudget(max_tokens=2.0, deposit_per_call=0.0,
-                             withdraw_per_retry=1.0)
-        assert budget.try_withdraw()
-        assert budget.try_withdraw()
-        assert not budget.try_withdraw()     # bucket empty
+        peers = PeerTable(VirtualClock(), max_tokens=2.0,
+                          deposit_per_call=0.0, withdraw_per_retry=1.0)
+        budget = peers.row("peer")
+        assert peers.try_withdraw("peer")
+        assert peers.try_withdraw("peer")
+        assert not peers.try_withdraw("peer")     # bucket empty
         assert budget.withdrawals == 2
         assert budget.refusals == 1
         assert budget.tokens == 0.0
 
     def test_deposits_refill_slowly(self):
-        budget = RetryBudget(max_tokens=5.0, deposit_per_call=0.5)
+        peers = PeerTable(VirtualClock(), max_tokens=5.0,
+                          deposit_per_call=0.5)
         for _ in range(5):
-            assert budget.try_withdraw()
-        assert not budget.try_withdraw()
-        budget.deposit()                     # 0.5: still refused
-        assert not budget.try_withdraw()
-        budget.deposit()                     # 1.0: one retry affordable
-        assert budget.try_withdraw()
+            assert peers.try_withdraw("peer")
+        assert not peers.try_withdraw("peer")
+        peers.deposit("peer")                # 0.5: still refused
+        assert not peers.try_withdraw("peer")
+        peers.deposit("peer")                # 1.0: one retry affordable
+        assert peers.try_withdraw("peer")
 
     def test_registry_is_per_peer(self):
-        registry = RetryBudgetRegistry(max_tokens=3.0)
-        a = registry.get("peer-a")
-        assert registry.get("peer-a") is a   # shared across callers
-        b = registry.get("peer-b")
+        peers = PeerTable(VirtualClock(), max_tokens=3.0)
+        a = peers.row("peer-a")
+        assert peers.row("peer-a") is a      # shared across callers
+        b = peers.row("peer-b")
         assert b is not a                    # but isolated per peer
-        a.try_withdraw()
-        snap = registry.snapshot()
+        peers.try_withdraw("peer-a")
+        snap = peers.snapshot()["retry_budgets"]
         assert snap == {"peer-a": 2.0, "peer-b": 3.0}
 
     def test_budget_error_is_a_retry_exhausted_error(self):
@@ -87,9 +89,8 @@ def _flapping_fanout(calls: int = 20):
         servant = Register()
         gp = client.bind(
             s1.export(servant),
-            breakers=BreakerRegistry(client.clock,
-                                     failure_threshold=10**6,
-                                     hooks=HookBus()))
+            peers=PeerTable(client.clock, failure_threshold=10**6,
+                            hooks=HookBus()))
         retries = []
         exhaustions = []
         gp.hooks.on("retry", lambda e: retries.append(e.data["attempt"]))
@@ -100,7 +101,7 @@ def _flapping_fanout(calls: int = 20):
         sim.fault_plan = plan
         futures = [gp.invoke_async("put", i) for i in range(calls)]
         errors = [type(f.exception()).__name__ for f in futures]
-        budget = client.retry_budgets.get("s1")
+        budget = gp.peers.row("s1")
         return {
             "errors": tuple(errors),
             "retries": len(retries),
@@ -144,8 +145,8 @@ class TestSharedBudgetUnderFanout:
             client = orb.context("client", machine=tb.m0)
             s1 = orb.context("s1", machine=tb.m1)
             # A bucket that cannot afford even one retry.
-            client.retry_budgets = RetryBudgetRegistry(
-                max_tokens=0.5, deposit_per_call=0.0)
+            client.peers = PeerTable(client.clock, max_tokens=0.5,
+                                     deposit_per_call=0.0)
             gp = client.bind(s1.export(Register()))
             plan = FaultPlan(hooks=HookBus())
             plan.drop(src="M1", dst="M0")
@@ -167,7 +168,7 @@ class TestSharedBudgetUnderFanout:
             gp = client.bind(s1.export(Register()))
             for i in range(5):
                 assert gp.invoke("put", i) == i
-            budget = client.retry_budgets.get("s1")
+            budget = client.peers.row("s1")
             assert budget.deposits == 5
             assert budget.withdrawals == 0
             assert budget.refusals == 0

@@ -124,7 +124,7 @@ class TestOverloadStress:
             assert len(ok) > 0                  # ...but work still flowed
             assert len(ok) + len(refused) == self.THREADS * self.CALLS
             # pushback was recorded client-side for backoff/hedging
-            assert cli.pushback.notes > 0
+            assert cli.peers.pushback_notes > 0
         finally:
             orb.shutdown()
 

@@ -63,6 +63,28 @@ class TestNearestRank:
         with pytest.raises(ValueError):
             nearest_rank([1.0], 1.5)
 
+    def test_median(self):
+        assert nearest_rank([1.0, 2.0, 3.0], 0.5) == 2.0
+
+    def test_extremes(self):
+        xs = [float(x) for x in range(11)]
+        assert nearest_rank(xs, 0.0) == 0.0
+        assert nearest_rank(xs, 1.0) == 10.0
+
+    def test_singleton(self):
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert nearest_rank([7.0], q) == 7.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            nearest_rank([], 0.0)
+
+    def test_out_of_range_q(self):
+        with pytest.raises(ValueError):
+            nearest_rank([1.0], -0.01)
+        with pytest.raises(ValueError):
+            nearest_rank([1.0], 1.01)
+
 
 class TestHistogram:
     def test_snapshot(self):

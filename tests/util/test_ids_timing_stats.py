@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.ids import IdGenerator, fresh_uid
-from repro.util.stats import EwmAverage, OnlineStats, percentile
+from repro.util.stats import EwmAverage, OnlineStats
 from repro.util.timing import Stopwatch, WallClock
 
 
@@ -138,27 +138,3 @@ class TestEwmAverage:
         ewm = EwmAverage(alpha=0.2, initial=0.0)
         ewm.add(100.0)
         assert 0.0 < ewm.value < 100.0
-
-
-class TestPercentile:
-    def test_median(self):
-        assert percentile([1, 2, 3], 50) == 2.0
-
-    def test_interpolation(self):
-        assert percentile([0, 10], 25) == pytest.approx(2.5)
-
-    def test_extremes(self):
-        xs = list(range(11))
-        assert percentile(xs, 0) == 0.0
-        assert percentile(xs, 100) == 10.0
-
-    def test_singleton(self):
-        assert percentile([7], 99) == 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_out_of_range_q(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
