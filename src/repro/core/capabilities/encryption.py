@@ -156,7 +156,7 @@ class EncryptionCapability(Capability):
         try:
             dec = XdrDecoder(data)
             public = int.from_bytes(bytes(dec.unpack_opaque()), "big")
-            return public, dec.reader.rest()
+            return public, dec.rest()
         except DecryptionError:
             raise
         except Exception as exc:

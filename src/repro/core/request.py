@@ -73,15 +73,16 @@ class RequestMeta:
 
 def encode_invocation(m: Marshaller, inv: Invocation) -> bytes:
     return m.dumps_many([inv.object_id, inv.method, list(inv.args),
-                         inv.oneway])
+                         bool(inv.oneway)])
 
 
 def decode_invocation(m: Marshaller, data) -> Invocation:
     object_id, method, args, oneway = m.loads_many(data, 4)
-    if not isinstance(object_id, str) or not isinstance(method, str):
+    if not (isinstance(object_id, str) and isinstance(method, str)
+            and isinstance(args, list) and isinstance(oneway, bool)):
         raise MarshalError("malformed invocation payload")
     return Invocation(object_id=object_id, method=method, args=tuple(args),
-                      oneway=bool(oneway))
+                      oneway=oneway)
 
 
 def encode_reply_ok(m: Marshaller, value) -> bytes:
@@ -107,26 +108,34 @@ def encode_reply_overload(m: Marshaller, retry_after: float,
                          (float(retry_after), reason)])
 
 
+def _is_pair(value, first: type, second: type) -> bool:
+    return (type(value) is tuple and len(value) == 2
+            and isinstance(value[0], first) and isinstance(value[1], second))
+
+
 def decode_reply(m: Marshaller, data):
     """Decode a reply envelope; returns the value or raises the carried
     :class:`RemoteException` / :class:`ObjectMovedError` /
-    :class:`OverloadError`."""
+    :class:`OverloadError`, or :class:`MarshalError` when malformed."""
     status, payload = m.loads_many(data, 2)
-    status = ReplyStatus(status)
-    if status is ReplyStatus.OK:
+    if type(status) is not int:
+        raise MarshalError(f"reply status {status!r} is not an int")
+    if status == ReplyStatus.OK:
         return payload
-    if status is ReplyStatus.EXCEPTION:
-        remote_type, message = payload
-        raise RemoteException(remote_type, message)
-    if status is ReplyStatus.OVERLOAD:
+    if status == ReplyStatus.EXCEPTION and _is_pair(payload, str, str):
+        raise RemoteException(*payload)
+    if status == ReplyStatus.OVERLOAD and _is_pair(payload, float, str):
         retry_after, reason = payload
         raise OverloadError(
             f"request shed by server ({reason}); retry after "
             f"{retry_after:.3f}s", retry_after=retry_after, reason=reason)
-    # MOVED: payload is the forwarding OR in wire bytes.
-    from repro.core.objref import ObjectReference
+    if status == ReplyStatus.MOVED and isinstance(payload, bytes):
+        # The payload is the forwarding OR in wire bytes.
+        from repro.core.objref import ObjectReference
 
-    forward = ObjectReference.from_bytes(payload)
-    raise ObjectMovedError(
-        f"object {forward.object_id} moved to context "
-        f"{forward.context_id}", forward=forward)
+        forward = ObjectReference.from_bytes(payload)
+        raise ObjectMovedError(
+            f"object {forward.object_id} moved to context "
+            f"{forward.context_id}", forward=forward)
+    raise MarshalError(f"malformed reply envelope: status {status}, "
+                       f"{type(payload).__name__} payload")

@@ -29,6 +29,7 @@ dispatch and the payload is an
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,9 @@ from repro.exceptions import MarshalError
 from repro.serialization.xdr import XdrDecoder, XdrEncoder
 
 __all__ = ["RsrFlags", "RsrMessage"]
+
+#: The fixed ``(flags, request_id)`` header: XDR uint + uhyper.
+_HEADER = struct.Struct(">IQ")
 
 
 class RsrFlags(enum.IntFlag):
@@ -78,9 +82,12 @@ class RsrMessage:
         return bool(self.flags & RsrFlags.OVERLOAD)
 
     def encode(self) -> bytes:
+        try:
+            header = _HEADER.pack(self.flags, self.request_id)
+        except struct.error as exc:
+            raise MarshalError(f"RSR header out of range: {exc}") from None
         enc = XdrEncoder()
-        enc.pack_uint(int(self.flags))
-        enc.pack_uhyper(self.request_id)
+        enc.pack_fixed_opaque(header)
         enc.pack_string(self.handler)
         enc.pack_opaque(self.payload)
         if self.flags & RsrFlags.META:
@@ -92,8 +99,9 @@ class RsrMessage:
     @classmethod
     def decode(cls, data) -> "RsrMessage":
         dec = XdrDecoder(data)
-        flags = RsrFlags(dec.unpack_uint())
-        request_id = dec.unpack_uhyper()
+        flags, request_id = _HEADER.unpack(dec.unpack_fixed_opaque(
+            _HEADER.size))
+        flags = RsrFlags(flags)
         handler = dec.unpack_string()
         payload = bytes(dec.unpack_opaque())
         priority = 0

@@ -10,6 +10,8 @@ supplies two interchangeable encodings and a typed marshaller on top:
   natural alignment, standing in for CORBA IIOP's encoding, so the
   multi-protocol machinery has genuinely different wire formats to choose
   between.
+* :mod:`repro.serialization.cursor` — the bounds-checked, zero-copy read
+  cursor both decoders are built on.
 * :mod:`repro.serialization.marshal` — self-describing value marshalling
   (ints, floats, strings, sequences, mappings, numpy arrays) over either
   codec, with a zero-copy fast path for large contiguous arrays.

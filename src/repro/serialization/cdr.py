@@ -17,7 +17,8 @@ from __future__ import annotations
 import struct
 
 from repro.exceptions import MarshalError
-from repro.util.bytesbuf import ByteBuffer, ByteReader
+from repro.serialization.cursor import Cursor, field
+from repro.util.bytesbuf import ByteBuffer
 
 __all__ = ["CdrEncoder", "CdrDecoder"]
 
@@ -27,6 +28,7 @@ _S_HYPER = struct.Struct("<q")
 _S_UHYPER = struct.Struct("<Q")
 _S_FLOAT = struct.Struct("<f")
 _S_DOUBLE = struct.Struct("<d")
+_S_OCTET = struct.Struct("B")
 
 INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1
@@ -128,71 +130,31 @@ class CdrEncoder:
         return self.buffer.getvalue()
 
 
-class CdrDecoder:
-    """Streaming little-endian CDR decoder."""
+class CdrDecoder(Cursor):
+    """Streaming little-endian CDR decoder: each primitive is aligned to
+    its own size, counted from the start of the message."""
+
+    __slots__ = ()
 
     name = "cdr"
     byteorder = "little"
 
-    def __init__(self, data):
-        self.reader = data if isinstance(data, ByteReader) else ByteReader(data)
-
-    def _align(self, size: int) -> None:
-        r = self.reader.position % size
-        if r:
-            self.reader.skip(size - r)
-
-    # -- integers ----------------------------------------------------------
-
-    def unpack_int(self) -> int:
-        self._align(4)
-        return _S_INT.unpack(self.reader.read(4))[0]
-
-    def unpack_uint(self) -> int:
-        self._align(4)
-        return _S_UINT.unpack(self.reader.read(4))[0]
-
-    def unpack_hyper(self) -> int:
-        self._align(8)
-        return _S_HYPER.unpack(self.reader.read(8))[0]
-
-    def unpack_uhyper(self) -> int:
-        self._align(8)
-        return _S_UHYPER.unpack(self.reader.read(8))[0]
+    unpack_int = field(_S_INT, aligned=True)
+    unpack_uint = field(_S_UINT, aligned=True)
+    unpack_hyper = field(_S_HYPER, aligned=True)
+    unpack_uhyper = field(_S_UHYPER, aligned=True)
+    unpack_float = field(_S_FLOAT, aligned=True)
+    unpack_double = field(_S_DOUBLE, aligned=True)
+    _unpack_octet = field(_S_OCTET)
 
     def unpack_bool(self) -> bool:
-        v = self.reader.read(1)[0]
-        if v not in (0, 1):
+        v = self._unpack_octet()
+        if v > 1:
             raise MarshalError(f"CDR bool must be 0 or 1, got {v}")
-        return bool(v)
-
-    # -- floats ------------------------------------------------------------
-
-    def unpack_float(self) -> float:
-        self._align(4)
-        return _S_FLOAT.unpack(self.reader.read(4))[0]
-
-    def unpack_double(self) -> float:
-        self._align(8)
-        return _S_DOUBLE.unpack(self.reader.read(8))[0]
-
-    # -- opaque / strings ----------------------------------------------------
+        return v == 1
 
     def unpack_fixed_opaque(self, n: int) -> memoryview:
-        return self.reader.read(n)
+        return self._take(n)
 
     def unpack_opaque(self) -> memoryview:
-        n = self.unpack_uint()
-        return self.unpack_fixed_opaque(n)
-
-    def unpack_string(self) -> str:
-        return bytes(self.unpack_opaque()).decode("utf-8")
-
-    # -- arrays --------------------------------------------------------------
-
-    def unpack_array(self, unpack_item) -> list:
-        n = self.unpack_uint()
-        return [unpack_item() for _ in range(n)]
-
-    def done(self) -> bool:
-        return self.reader.remaining == 0
+        return self._take(self.unpack_uint())

@@ -7,25 +7,34 @@ bytes.  Supported values: ``None``, ``bool``, ``int`` (any size), ``float``,
 hook — :class:`repro.core.objref.ObjectReference` so global pointers can be
 passed as arguments (how capabilities travel between processes, §4).
 
+Dispatch
+--------
+Encoding looks the value's exact type up in one table and falls back to
+``isinstance`` checks, in the same order, only for subclasses, object
+references and numpy scalars; decoding looks the wire typecode up in
+another.  Malformed input raises :class:`~repro.exceptions.MarshalError`
+and nothing else.
+
 Zero-copy discipline
 --------------------
 Large contiguous numpy arrays are encoded as a small header plus the raw
 buffer, which the underlying :class:`~repro.util.bytesbuf.ByteBuffer`
-stores *by reference*; decoding wraps the incoming ``memoryview`` with
-``np.frombuffer``.  Hence a 4 MB array argument crosses the codec with no
-byte-level copies in either direction — the property §3.2 demands of
-proto-object implementations.
+stores *by reference*; decoding wraps the decoder's ``memoryview`` of the
+body with ``np.frombuffer``.  Hence a 4 MB array argument crosses the
+codec with no byte-level copies in either direction — the property §3.2
+demands of proto-object implementations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import MarshalError, TypeCodeError
-from repro.serialization.typecodes import ARRAY_DTYPES, DTYPE_CODES, TypeCode
+from repro.serialization.typecodes import ARRAY_DTYPES, TypeCode
 from repro.serialization.xdr import XdrDecoder, XdrEncoder
 
 __all__ = ["Marshaller", "dumps", "loads", "set_objref_hooks",
@@ -76,176 +85,199 @@ class Marshaller:
         return enc.getvalue()
 
     def encode_value(self, enc, value: Any) -> None:
-        if value is None:
-            enc.pack_uint(TypeCode.NONE)
-        elif isinstance(value, bool):
-            enc.pack_uint(TypeCode.BOOL)
-            enc.pack_bool(value)
-        elif isinstance(value, int):
-            self._encode_int(enc, value)
-        elif isinstance(value, float):
-            enc.pack_uint(TypeCode.FLOAT64)
-            enc.pack_double(value)
-        elif isinstance(value, complex):
-            enc.pack_uint(TypeCode.COMPLEX128)
-            enc.pack_double(value.real)
-            enc.pack_double(value.imag)
-        elif isinstance(value, str):
-            enc.pack_uint(TypeCode.STRING)
-            enc.pack_string(value)
-        elif isinstance(value, (bytes, bytearray, memoryview)):
-            enc.pack_uint(TypeCode.BYTES)
-            enc.pack_opaque(value)
-        elif isinstance(value, np.ndarray):
-            self._encode_ndarray(enc, value)
-        elif isinstance(value, list):
-            enc.pack_uint(TypeCode.LIST)
-            enc.pack_array(value, lambda v: self.encode_value(enc, v))
-        elif isinstance(value, tuple):
-            enc.pack_uint(TypeCode.TUPLE)
-            enc.pack_array(value, lambda v: self.encode_value(enc, v))
-        elif isinstance(value, (set, frozenset)):
-            enc.pack_uint(TypeCode.SET)
-            enc.pack_array(sorted(value, key=repr),
-                           lambda v: self.encode_value(enc, v))
-        elif isinstance(value, dict):
-            enc.pack_uint(TypeCode.DICT)
-            enc.pack_uint(len(value))
-            for k, v in value.items():
-                self.encode_value(enc, k)
-                self.encode_value(enc, v)
-        elif _OBJREF_HOOKS is not None and _OBJREF_HOOKS[0](value):
-            enc.pack_uint(TypeCode.OBJREF)
-            enc.pack_opaque(_OBJREF_HOOKS[1](value))
-        elif isinstance(value, np.generic):
-            # numpy scalar: degrade to the matching Python scalar.
-            self.encode_value(enc, value.item())
-        else:
-            raise MarshalError(
-                f"cannot marshal value of type {type(value).__name__}")
-
-    def _encode_int(self, enc, value: int) -> None:
-        if -(2 ** 31) <= value < 2 ** 31:
-            enc.pack_uint(TypeCode.INT32)
-            enc.pack_int(value)
-        elif -(2 ** 63) <= value < 2 ** 63:
-            enc.pack_uint(TypeCode.INT64)
-            enc.pack_hyper(value)
-        else:
-            enc.pack_uint(TypeCode.BIGINT)
-            nbytes = (value.bit_length() + 8) // 8  # +8 keeps the sign bit
-            enc.pack_opaque(value.to_bytes(nbytes, "big", signed=True))
-
-    def _encode_ndarray(self, enc, arr: np.ndarray) -> None:
-        code = DTYPE_CODES.get(_canonical_dtype_str(arr.dtype))
-        if code is None:
-            raise MarshalError(f"unsupported ndarray dtype {arr.dtype}")
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        # Payload bytes are always little-endian on the wire regardless of
-        # the codec's integer byte order (the header says so via the dtype
-        # code table); byteswap only if the source array is big-endian.
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        enc.pack_uint(TypeCode.NDARRAY)
-        enc.pack_uint(code)
-        enc.pack_uint(arr.ndim)
-        for dim in arr.shape:
-            enc.pack_uhyper(dim)
-        data = arr.reshape(-1).view(np.uint8).data  # zero-copy memoryview
-        enc.pack_opaque(data)
+        encode = _ENCODERS.get(type(value))
+        if encode is None:
+            encode = _subclass_encoder(value)
+        encode(self, enc, value)
 
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
 
     def loads(self, data) -> Any:
-        dec = self.decoder_cls(data)
-        value = self.decode_value(dec)
-        return value
+        try:
+            return self.decode_value(self.decoder_cls(data))
+        except RecursionError:  # a peer's nesting deeper than our stack
+            raise MarshalError("marshalled value nested too deeply") from None
 
     def loads_many(self, data, count: int) -> list:
         """Decode a fixed-arity sequence encoded by :meth:`dumps_many`."""
         dec = self.decoder_cls(data)
-        return [self.decode_value(dec) for _ in range(count)]
+        try:
+            return [self.decode_value(dec) for _ in range(count)]
+        except RecursionError:
+            raise MarshalError("marshalled value nested too deeply") from None
 
     def decode_value(self, dec) -> Any:
         tag = dec.unpack_uint()
-        try:
-            code = TypeCode(tag)
-        except ValueError as exc:
-            raise TypeCodeError(f"unknown typecode {tag}") from exc
-        if code is TypeCode.NONE:
-            return None
-        if code is TypeCode.BOOL:
-            return dec.unpack_bool()
-        if code is TypeCode.INT32:
-            return dec.unpack_int()
-        if code is TypeCode.INT64:
-            return dec.unpack_hyper()
-        if code is TypeCode.BIGINT:
-            return int.from_bytes(bytes(dec.unpack_opaque()), "big",
-                                  signed=True)
-        if code is TypeCode.FLOAT64:
-            return dec.unpack_double()
-        if code is TypeCode.FLOAT32:
-            return dec.unpack_float()
-        if code is TypeCode.COMPLEX128:
-            return complex(dec.unpack_double(), dec.unpack_double())
-        if code is TypeCode.STRING:
-            return dec.unpack_string()
-        if code is TypeCode.BYTES:
-            return bytes(dec.unpack_opaque())
-        if code is TypeCode.NDARRAY:
-            return self._decode_ndarray(dec)
-        if code is TypeCode.LIST:
-            return dec.unpack_array(lambda: self.decode_value(dec))
-        if code is TypeCode.TUPLE:
-            return tuple(dec.unpack_array(lambda: self.decode_value(dec)))
-        if code is TypeCode.SET:
-            return set(dec.unpack_array(lambda: self.decode_value(dec)))
-        if code is TypeCode.DICT:
-            n = dec.unpack_uint()
-            out = {}
-            for _ in range(n):
-                k = self.decode_value(dec)
-                out[k] = self.decode_value(dec)
-            return out
-        if code is TypeCode.EXCEPTION:
-            remote_type = dec.unpack_string()
-            message = dec.unpack_string()
-            return (remote_type, message)
-        if code is TypeCode.OBJREF:
-            if _OBJREF_HOOKS is None:
-                raise MarshalError("OBJREF seen but no hooks installed")
-            return _OBJREF_HOOKS[2](bytes(dec.unpack_opaque()))
-        raise TypeCodeError(f"unhandled typecode {code!r}")
-
-    def _decode_ndarray(self, dec) -> np.ndarray:
-        dtype_code = dec.unpack_uint()
-        dtype_str = ARRAY_DTYPES.get(dtype_code)
-        if dtype_str is None:
-            raise TypeCodeError(f"unknown ndarray dtype code {dtype_code}")
-        ndim = dec.unpack_uint()
-        shape = tuple(dec.unpack_uhyper() for _ in range(ndim))
-        raw = dec.unpack_opaque()
-        dtype = np.dtype(dtype_str)
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if len(raw) != expected:
-            raise MarshalError(
-                f"ndarray payload is {len(raw)} bytes, expected {expected}")
-        # frombuffer is zero-copy; the result aliases the receive buffer and
-        # is read-only, matching in-argument semantics.
-        arr = np.frombuffer(raw, dtype=dtype)
-        return arr.reshape(shape)
+        decode = _DECODERS.get(tag)
+        if decode is None:
+            raise TypeCodeError(f"unknown typecode {tag}")
+        return decode(self, dec)
 
 
-def _canonical_dtype_str(dtype: np.dtype) -> str:
-    """Map a dtype to the explicit-little-endian key used in DTYPE_CODES."""
-    if dtype == np.bool_:
-        return "|b1"
-    kind_char = dtype.kind + str(dtype.itemsize)
-    return "<" + kind_char
+# -- encoders: (marshaller, encoder, value), chosen by the value's type -------
+
+def _encode_int(m, enc, value) -> None:
+    if -(2 ** 31) <= value < 2 ** 31:
+        enc.pack_uint(TypeCode.INT32).pack_int(value)
+    elif -(2 ** 63) <= value < 2 ** 63:
+        enc.pack_uint(TypeCode.INT64).pack_hyper(value)
+    else:
+        nbytes = (value.bit_length() + 8) // 8  # +8 keeps the sign bit
+        enc.pack_uint(TypeCode.BIGINT).pack_opaque(
+            value.to_bytes(nbytes, "big", signed=True))
+
+
+def _encode_ndarray(m, enc, arr: np.ndarray) -> None:
+    dtype = arr.dtype
+    code = _DTYPE_CODES.get(dtype.newbyteorder("<") if dtype.byteorder == ">"
+                            else dtype)
+    if code is None:
+        raise MarshalError(f"unsupported ndarray dtype {arr.dtype}")
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
+    # Payload bytes are always little-endian on the wire regardless of
+    # the codec's integer byte order (the header says so via the dtype
+    # code table); byteswap only if the source array is big-endian.
+    if arr.dtype.byteorder == ">":
+        arr = arr.astype(arr.dtype.newbyteorder("<"))
+    enc.pack_uint(TypeCode.NDARRAY).pack_uint(code).pack_uint(arr.ndim)
+    for dim in arr.shape:
+        enc.pack_uhyper(dim)
+    data = arr.reshape(-1).view(np.uint8).data  # zero-copy memoryview
+    enc.pack_opaque(data)
+
+
+def _items_encoder(code: TypeCode, order=None):
+    def encode(m, enc, value) -> None:
+        enc.pack_uint(code).pack_uint(len(value))
+        for item in (value if order is None else order(value)):
+            m.encode_value(enc, item)
+    return encode
+
+
+def _encode_dict(m, enc, value) -> None:
+    enc.pack_uint(TypeCode.DICT).pack_uint(len(value))
+    for k, v in value.items():
+        m.encode_value(enc, k)
+        m.encode_value(enc, v)
+
+
+def _encode_bytes(m, enc, value) -> None:
+    enc.pack_uint(TypeCode.BYTES).pack_opaque(value)
+
+
+_encode_set = _items_encoder(TypeCode.SET, lambda v: sorted(v, key=repr))
+
+#: Encoder per exact type.  Insertion order is also the ``isinstance``
+#: order :func:`_subclass_encoder` tries, so ``bool`` precedes ``int``.
+_ENCODERS = {
+    type(None): lambda m, enc, v: enc.pack_uint(TypeCode.NONE),
+    bool: lambda m, enc, v: enc.pack_uint(TypeCode.BOOL).pack_bool(v),
+    int: _encode_int,
+    float: lambda m, enc, v: enc.pack_uint(TypeCode.FLOAT64).pack_double(v),
+    complex: lambda m, enc, v: (enc.pack_uint(TypeCode.COMPLEX128)
+                                .pack_double(v.real).pack_double(v.imag)),
+    str: lambda m, enc, v: enc.pack_uint(TypeCode.STRING).pack_string(v),
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    memoryview: _encode_bytes,
+    np.ndarray: _encode_ndarray,
+    list: _items_encoder(TypeCode.LIST),
+    tuple: _items_encoder(TypeCode.TUPLE),
+    set: _encode_set,
+    frozenset: _encode_set,
+    dict: _encode_dict,
+}
+
+
+def _subclass_encoder(value):
+    """The encoder for a value whose exact type is not in the table."""
+    for cls, encode in _ENCODERS.items():
+        if isinstance(value, cls):
+            return encode
+    if _OBJREF_HOOKS is not None and _OBJREF_HOOKS[0](value):
+        return lambda m, enc, v: enc.pack_uint(TypeCode.OBJREF).pack_opaque(
+            _OBJREF_HOOKS[1](v))
+    if isinstance(value, np.generic):
+        # numpy scalar: degrade to the matching Python scalar.
+        return lambda m, enc, v: m.encode_value(enc, v.item())
+    raise MarshalError(
+        f"cannot marshal value of type {type(value).__name__}")
+
+
+# -- decoders: (marshaller, decoder) -> value, chosen by the wire tag ---------
+
+def _decode_ndarray(m, dec) -> np.ndarray:
+    dtype_code = dec.unpack_uint()
+    dtype = _ARRAY_DTYPES.get(dtype_code)
+    if dtype is None:
+        raise TypeCodeError(f"unknown ndarray dtype code {dtype_code}")
+    shape = tuple(dec.unpack_uhyper() for _ in range(dec.unpack_uint()))
+    raw = dec.unpack_opaque()
+    # Exact integers: a fixed-width product could wrap to the body size.
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
+        raise MarshalError(
+            f"ndarray payload is {len(raw)} bytes, expected {expected}")
+    # frombuffer is zero-copy; the result aliases the receive buffer and
+    # is read-only, matching in-argument semantics.
+    try:
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # a shape numpy cannot represent
+        raise MarshalError(f"bad ndarray shape {shape}: {exc}") from None
+
+
+def _decode_set(m, dec) -> set:
+    try:
+        return {m.decode_value(dec) for _ in range(dec.unpack_uint())}
+    except TypeError as exc:  # an unhashable member
+        raise MarshalError(f"malformed set: {exc}") from None
+
+
+def _decode_dict(m, dec) -> dict:
+    try:  # a dict comprehension evaluates each key before its value
+        return {m.decode_value(dec): m.decode_value(dec)
+                for _ in range(dec.unpack_uint())}
+    except TypeError as exc:  # an unhashable key
+        raise MarshalError(f"malformed dict: {exc}") from None
+
+
+def _decode_objref(m, dec):
+    if _OBJREF_HOOKS is None:
+        raise MarshalError("OBJREF seen but no hooks installed")
+    return _OBJREF_HOOKS[2](bytes(dec.unpack_opaque()))
+
+
+_DECODERS = {
+    TypeCode.NONE: lambda m, dec: None,
+    TypeCode.BOOL: lambda m, dec: dec.unpack_bool(),
+    TypeCode.INT32: lambda m, dec: dec.unpack_int(),
+    TypeCode.INT64: lambda m, dec: dec.unpack_hyper(),
+    TypeCode.BIGINT: lambda m, dec: int.from_bytes(
+        dec.unpack_opaque(), "big", signed=True),
+    TypeCode.FLOAT64: lambda m, dec: dec.unpack_double(),
+    TypeCode.FLOAT32: lambda m, dec: dec.unpack_float(),
+    TypeCode.COMPLEX128: lambda m, dec: complex(dec.unpack_double(),
+                                                dec.unpack_double()),
+    TypeCode.STRING: lambda m, dec: dec.unpack_string(),
+    TypeCode.BYTES: lambda m, dec: bytes(dec.unpack_opaque()),
+    TypeCode.NDARRAY: _decode_ndarray,
+    TypeCode.LIST: lambda m, dec: [m.decode_value(dec)
+                                   for _ in range(dec.unpack_uint())],
+    TypeCode.TUPLE: lambda m, dec: tuple([m.decode_value(dec)
+                                          for _ in range(dec.unpack_uint())]),
+    TypeCode.SET: _decode_set,
+    TypeCode.DICT: _decode_dict,
+    TypeCode.EXCEPTION: lambda m, dec: (dec.unpack_string(),
+                                        dec.unpack_string()),
+    TypeCode.OBJREF: _decode_objref,
+}
+
+#: numpy dtype per NDARRAY dtype code, and back, built once.
+_ARRAY_DTYPES = {code: np.dtype(s) for code, s in ARRAY_DTYPES.items()}
+_DTYPE_CODES = {dtype: code for code, dtype in _ARRAY_DTYPES.items()}
 
 
 _DEFAULT = Marshaller()

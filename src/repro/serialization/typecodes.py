@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["TypeCode", "ARRAY_DTYPES", "DTYPE_CODES"]
+__all__ = ["TypeCode", "ARRAY_DTYPES"]
 
 
 class TypeCode(enum.IntEnum):
@@ -34,7 +34,7 @@ class TypeCode(enum.IntEnum):
     FLOAT32 = 16
 
 
-#: dtype-code <-> numpy dtype string for NDARRAY payloads.  Codes are wire
+#: dtype code -> numpy dtype string for NDARRAY payloads.  Codes are wire
 #: format; append only.  All dtypes are explicit-endian so a heterogeneous
 #: pairing (XDR big-endian vs CDR little-endian hosts) stays well-defined.
 ARRAY_DTYPES = {
@@ -52,5 +52,3 @@ ARRAY_DTYPES = {
     11: "<c16",
     12: "|b1",
 }
-
-DTYPE_CODES = {v: k for k, v in ARRAY_DTYPES.items()}

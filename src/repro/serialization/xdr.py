@@ -7,10 +7,13 @@ proto-object that uses XDR for data encoding", §3.1).  Properties:
 * every item padded to a 4-byte boundary,
 * variable-length opaque/string = 4-byte length + bytes + pad.
 
-Implemented from scratch on :class:`repro.util.bytesbuf.ByteBuffer` /
-:class:`~repro.util.bytesbuf.ByteReader`; opaque bodies ride the buffer's
-zero-copy path so a multi-megabyte array argument is never copied by the
-codec itself.
+The encoder appends to a :class:`repro.util.bytesbuf.ByteBuffer`, whose
+large chunks are kept by reference; the decoder is a
+:class:`~repro.serialization.cursor.Cursor` that reads each field with
+``struct.unpack_from`` behind one bounds check and returns opaque bodies
+as views of the message.  So a multi-megabyte array argument is never
+copied by the codec itself, and malformed or truncated input raises
+:class:`~repro.exceptions.MarshalError`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from __future__ import annotations
 import struct
 
 from repro.exceptions import MarshalError
-from repro.util.bytesbuf import ByteBuffer, ByteReader
+from repro.serialization.cursor import Cursor, field
+from repro.util.bytesbuf import ZERO_COPY_THRESHOLD, ByteBuffer
 
 __all__ = ["XdrEncoder", "XdrDecoder"]
 
@@ -35,11 +39,6 @@ INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
-
-
-def _padding(n: int) -> bytes:
-    r = n & 3
-    return _PAD[: (4 - r) & 3] if r else b""
 
 
 class XdrEncoder:
@@ -103,13 +102,18 @@ class XdrEncoder:
     def pack_fixed_opaque(self, data) -> "XdrEncoder":
         """Fixed-length opaque: bytes + pad, no length prefix."""
         self.buffer.write(data)
-        self.buffer.write(_padding(len(data)))
+        self.buffer.write(_PAD[:-len(data) & 3])
         return self
 
     def pack_opaque(self, data) -> "XdrEncoder":
         """Variable-length opaque: uint32 length + bytes + pad."""
-        self.pack_uint(len(data))
-        return self.pack_fixed_opaque(data)
+        n = len(data)
+        if n >= ZERO_COPY_THRESHOLD:
+            self.pack_uint(n)
+            return self.pack_fixed_opaque(data)
+        # Small bodies are copied into the buffer anyway: one write.
+        self.buffer.write(_S_UINT.pack(n) + data + _PAD[:-n & 3])
+        return self
 
     def pack_string(self, value: str) -> "XdrEncoder":
         return self.pack_opaque(value.encode("utf-8"))
@@ -128,67 +132,31 @@ class XdrEncoder:
         return self.buffer.getvalue()
 
 
-class XdrDecoder:
-    """Streaming XDR decoder over a zero-copy :class:`ByteReader`."""
+class XdrDecoder(Cursor):
+    """Streaming XDR decoder: every item starts on a 4-byte boundary, so
+    fields are read unaligned and opaque bodies skip their pad."""
+
+    __slots__ = ()
 
     name = "xdr"
     byteorder = "big"
 
-    def __init__(self, data):
-        self.reader = data if isinstance(data, ByteReader) else ByteReader(data)
-
-    def _skip_pad(self, n: int) -> None:
-        r = n & 3
-        if r:
-            self.reader.skip(4 - r)
-
-    # -- integers ----------------------------------------------------------
-
-    def unpack_int(self) -> int:
-        return _S_INT.unpack(self.reader.read(4))[0]
-
-    def unpack_uint(self) -> int:
-        return _S_UINT.unpack(self.reader.read(4))[0]
-
-    def unpack_hyper(self) -> int:
-        return _S_HYPER.unpack(self.reader.read(8))[0]
-
-    def unpack_uhyper(self) -> int:
-        return _S_UHYPER.unpack(self.reader.read(8))[0]
+    unpack_int = field(_S_INT)
+    unpack_uint = field(_S_UINT)
+    unpack_hyper = field(_S_HYPER)
+    unpack_uhyper = field(_S_UHYPER)
+    unpack_float = field(_S_FLOAT)
+    unpack_double = field(_S_DOUBLE)
 
     def unpack_bool(self) -> bool:
         v = self.unpack_uint()
-        if v not in (0, 1):
+        if v > 1:
             raise MarshalError(f"XDR bool must be 0 or 1, got {v}")
-        return bool(v)
-
-    # -- floats ------------------------------------------------------------
-
-    def unpack_float(self) -> float:
-        return _S_FLOAT.unpack(self.reader.read(4))[0]
-
-    def unpack_double(self) -> float:
-        return _S_DOUBLE.unpack(self.reader.read(8))[0]
-
-    # -- opaque / strings ----------------------------------------------------
+        return v == 1
 
     def unpack_fixed_opaque(self, n: int) -> memoryview:
-        out = self.reader.read(n)
-        self._skip_pad(n)
-        return out
+        return self._take(n, -n & 3)
 
     def unpack_opaque(self) -> memoryview:
         n = self.unpack_uint()
-        return self.unpack_fixed_opaque(n)
-
-    def unpack_string(self) -> str:
-        return bytes(self.unpack_opaque()).decode("utf-8")
-
-    # -- arrays --------------------------------------------------------------
-
-    def unpack_array(self, unpack_item) -> list:
-        n = self.unpack_uint()
-        return [unpack_item() for _ in range(n)]
-
-    def done(self) -> bool:
-        return self.reader.remaining == 0
+        return self._take(n, -n & 3)

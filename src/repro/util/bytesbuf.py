@@ -1,26 +1,20 @@
-"""Growable byte buffer and zero-copy reader.
+"""Growable byte buffer with a zero-copy large-chunk path.
 
 The Open HPC++ paper stresses that "no extra data copying is done over and
-above that done by the proto-object's protocol implementation" (§3.2).  The
-two classes here are how we honour that constraint in Python:
-
-* :class:`ByteBuffer` accumulates an outgoing message.  Writers append
-  ``bytes``-like chunks; large chunks (above :data:`ZERO_COPY_THRESHOLD`)
-  are *referenced*, not copied, until the final :meth:`ByteBuffer.getvalue`
-  concatenation, and :meth:`ByteBuffer.chunks` exposes the raw chunk list so
-  a gather-capable transport can write them without any join at all
-  (the Python analogue of ``writev``).
-
-* :class:`ByteReader` walks an incoming message.  All reads return
-  ``memoryview`` slices of the original buffer, so decoding a 4 MB array
-  argument costs O(1) — numpy can wrap the view directly.
+above that done by the proto-object's protocol implementation" (§3.2).
+:class:`ByteBuffer` is how outgoing messages honour that in Python: writers
+append ``bytes``-like chunks; large chunks (above
+:data:`ZERO_COPY_THRESHOLD`) are *referenced*, not copied, until the final
+:meth:`ByteBuffer.getvalue` concatenation, and :meth:`ByteBuffer.chunks`
+exposes the raw chunk list so a gather-capable transport can write them
+without any join at all (the Python analogue of ``writev``).  Incoming
+messages are read by the decoders' own cursor
+(:mod:`repro.serialization.cursor`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Union
-
-from repro.exceptions import BufferUnderflowError
 
 BytesLike = Union[bytes, bytearray, memoryview]
 
@@ -95,59 +89,3 @@ class ByteBuffer:
         self._chunks.clear()
         self._tail = bytearray()
         self._length = 0
-
-
-class ByteReader:
-    """Sequential zero-copy reader over a ``bytes``-like message."""
-
-    __slots__ = ("_view", "_pos")
-
-    def __init__(self, data: BytesLike):
-        self._view = memoryview(data)
-        self._pos = 0
-
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    @property
-    def remaining(self) -> int:
-        return len(self._view) - self._pos
-
-    def seek(self, position: int) -> None:
-        if not 0 <= position <= len(self._view):
-            raise BufferUnderflowError(
-                f"seek({position}) outside buffer of {len(self._view)} bytes")
-        self._pos = position
-
-    def read(self, n: int) -> memoryview:
-        """Return a zero-copy view of the next ``n`` bytes and advance."""
-        if n < 0:
-            raise ValueError("read size must be non-negative")
-        if self._pos + n > len(self._view):
-            raise BufferUnderflowError(
-                f"need {n} bytes at offset {self._pos}, "
-                f"only {self.remaining} remain")
-        out = self._view[self._pos:self._pos + n]
-        self._pos += n
-        return out
-
-    def read_bytes(self, n: int) -> bytes:
-        """Like :meth:`read` but materializes an owned ``bytes`` copy."""
-        return bytes(self.read(n))
-
-    def peek(self, n: int) -> memoryview:
-        """Return a view of the next ``n`` bytes without advancing."""
-        if self._pos + n > len(self._view):
-            raise BufferUnderflowError(
-                f"peek({n}) at offset {self._pos} exceeds buffer")
-        return self._view[self._pos:self._pos + n]
-
-    def skip(self, n: int) -> None:
-        self.read(n)
-
-    def rest(self) -> memoryview:
-        """View of everything from the cursor to the end; consumes it."""
-        out = self._view[self._pos:]
-        self._pos = len(self._view)
-        return out

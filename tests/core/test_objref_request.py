@@ -163,3 +163,19 @@ class TestReplyCodec:
             decode_reply(self.M, wire)
         assert err.value.forward.object_id == "obj-1"
         assert err.value.forward.version == 3
+
+
+class TestMalformedEnvelope:
+    M = Marshaller()
+
+    @pytest.mark.parametrize("decode,fields", [
+        (decode_reply, [7, None]),
+        (decode_reply, ["OK", None]),
+        (decode_reply, [1, "not a pair"]),
+        (decode_reply, [3, (0.5, "why", "extra")]),
+        (decode_invocation, ["o", "m", "not a list", False]),
+    ], ids=["unknown-status", "non-int-status", "exception-payload",
+            "overload-payload", "non-list-args"])
+    def test_malformed_envelope_is_a_marshal_error(self, decode, fields):
+        with pytest.raises(MarshalError):
+            decode(self.M, self.M.dumps_many(fields))

@@ -1,7 +1,7 @@
 """Tests for the RSR wire format."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import MarshalError
 from repro.nexus.rsr import RsrFlags, RsrMessage
@@ -53,3 +53,23 @@ class TestWire:
         payload = bytes(range(256))
         m = RsrMessage.request(1, "h", payload)
         assert RsrMessage.decode(m.encode()).payload == payload
+
+    @pytest.mark.parametrize("meta", [False, True], ids=["plain", "meta"])
+    @given(rid=st.integers(0, 2 ** 64 - 1), handler=st.text(max_size=20),
+           payload=st.binary(max_size=64), oneway=st.booleans(),
+           priority=st.integers(1, 2 ** 32 - 1),
+           deadline=st.one_of(st.none(), st.floats(allow_nan=False)))
+    @settings(max_examples=50, derandomize=True)
+    def test_every_strict_prefix_rejected(self, meta, rid, handler, payload,
+                                          oneway, priority, deadline):
+        """Truncation anywhere, the META trailer included, raises
+        MarshalError and nothing else."""
+        m = RsrMessage.request(rid, handler, payload, oneway=oneway,
+                               priority=priority if meta else 0,
+                               deadline=deadline if meta else None)
+        assert bool(m.flags & RsrFlags.META) is meta
+        wire = m.encode()
+        assert RsrMessage.decode(wire) == m
+        for cut in range(len(wire)):
+            with pytest.raises(MarshalError):
+                RsrMessage.decode(wire[:cut])

@@ -8,13 +8,46 @@ from hypothesis.extra import numpy as hnp
 from repro.exceptions import MarshalError, TypeCodeError
 from repro.serialization.cdr import CdrDecoder, CdrEncoder
 from repro.serialization.marshal import Marshaller, dumps, loads
+from repro.serialization.typecodes import TypeCode
+from repro.serialization.xdr import XdrEncoder
 
 XDR = Marshaller()
 CDR = Marshaller(CdrEncoder, CdrDecoder)
 
 
+recursive_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.text(max_size=10), st.binary(max_size=10)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=5), children, max_size=4)),
+    max_leaves=20,
+)
+
+arrays = hnp.arrays(
+    dtype=st.sampled_from([np.int32, np.float64, np.uint8]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, max_side=8),
+    elements=st.integers(0, 100),
+)
+
+
 def roundtrip(value, m=XDR):
     return m.loads(m.dumps(value))
+
+
+def assert_same(out, value):
+    """``out == value``, comparing ndarrays (also inside a list) by shape
+    and elements."""
+    if isinstance(value, np.ndarray):
+        assert out.shape == value.shape
+        np.testing.assert_array_equal(out, value)
+    elif isinstance(value, list):
+        assert type(out) is list and len(out) == len(value)
+        for item_out, item in zip(out, value):
+            assert_same(item_out, item)
+    else:
+        assert out == value
 
 
 class TestScalars:
@@ -78,15 +111,7 @@ class TestContainers:
         value = {(1, "a"): "x", (2, "b"): "y"}
         assert roundtrip(value) == value
 
-    @given(st.recursive(
-        st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),
-                  st.floats(allow_nan=False, allow_infinity=False),
-                  st.text(max_size=10), st.binary(max_size=10)),
-        lambda children: st.one_of(
-            st.lists(children, max_size=4),
-            st.dictionaries(st.text(max_size=5), children, max_size=4)),
-        max_leaves=20,
-    ))
+    @given(recursive_values)
     @settings(max_examples=60)
     def test_recursive_values(self, value):
         assert roundtrip(value) == value
@@ -99,6 +124,17 @@ class TestContainers:
     def test_unknown_typecode_rejected(self):
         with pytest.raises(TypeCodeError):
             loads(b"\x00\x00\x00\xfa")
+
+    @pytest.mark.parametrize("m", [XDR, CDR], ids=["xdr", "cdr"])
+    def test_nesting_deeper_than_the_stack_rejected(self, m):
+        enc = m.encoder_cls()
+        for _ in range(5000):  # [[[...[None]...]]]
+            enc.pack_uint(TypeCode.LIST).pack_uint(1)
+        wire = enc.pack_uint(TypeCode.NONE).getvalue()
+        with pytest.raises(MarshalError):
+            m.loads(wire)
+        with pytest.raises(MarshalError):
+            m.loads_many(wire, 1)
 
 
 class TestNdarrays:
@@ -167,15 +203,22 @@ class TestNdarrays:
             # Truncate the buffer so payload is short.
             m.loads(bytes(wire[:-4]))
 
-    @given(hnp.arrays(
-        dtype=st.sampled_from([np.int32, np.float64, np.uint8]),
-        shape=hnp.array_shapes(max_dims=3, max_side=8),
-        elements=st.integers(0, 100),
-    ))
+    @given(arrays)
     @settings(max_examples=40)
     def test_arrays_property(self, arr):
         out = roundtrip(arr)
         np.testing.assert_array_equal(out, arr)
+
+    @pytest.mark.parametrize("shape,body", [
+        ((2 ** 32, 2 ** 32), b""),     # the int64 product wraps to 0 bytes
+        ((0, 2 ** 63), b""),           # no ndarray has a dim this large
+        ((1,) * 65, b"\x00" * 4),      # nor this many dims
+    ], ids=["int64-wrap", "huge-dim", "too-many-dims"])
+    def test_impossible_shape_rejected(self, shape, body):
+        enc = XdrEncoder().pack_uint(TypeCode.NDARRAY).pack_uint(2)  # <i4
+        enc.pack_array(shape, enc.pack_uhyper).pack_opaque(body)
+        with pytest.raises(MarshalError):
+            loads(enc.getvalue())
 
     def test_array_inside_container(self):
         value = {"payload": np.arange(10, dtype=np.int32), "tag": "x"}
@@ -194,3 +237,19 @@ class TestFixedArity:
         wire = CDR.dumps("hello world and more text")
         with pytest.raises(Exception):
             XDR.loads(wire)
+
+
+class TestTruncation:
+    """Every strict prefix of an encoding is rejected with MarshalError
+    and nothing else; the whole encoding round-trips."""
+
+    @pytest.mark.parametrize("m", [XDR, CDR], ids=["xdr", "cdr"])
+    @given(value=st.one_of(recursive_values, arrays,
+                           st.lists(arrays, max_size=3)))
+    @settings(max_examples=60, derandomize=True)
+    def test_every_strict_prefix_rejected(self, m, value):
+        wire = m.dumps(value)
+        assert_same(m.loads(wire), value)
+        for cut in range(len(wire)):
+            with pytest.raises(MarshalError):
+                m.loads(wire[:cut])

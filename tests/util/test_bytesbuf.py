@@ -1,10 +1,8 @@
-"""Tests for the zero-copy byte buffer and reader."""
+"""Tests for the zero-copy byte buffer."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.exceptions import BufferUnderflowError
-from repro.util.bytesbuf import ZERO_COPY_THRESHOLD, ByteBuffer, ByteReader
+from repro.util.bytesbuf import ZERO_COPY_THRESHOLD, ByteBuffer
 
 
 class TestByteBuffer:
@@ -90,85 +88,3 @@ class TestByteBuffer:
             buf.write(p)
         assert buf.getvalue() == b"".join(parts)
         assert len(buf) == sum(len(p) for p in parts)
-
-
-class TestByteReader:
-    def test_sequential_reads(self):
-        r = ByteReader(b"hello world")
-        assert bytes(r.read(5)) == b"hello"
-        assert bytes(r.read(1)) == b" "
-        assert bytes(r.rest()) == b"world"
-        assert r.remaining == 0
-
-    def test_read_returns_memoryview(self):
-        r = ByteReader(b"abcdef")
-        view = r.read(3)
-        assert isinstance(view, memoryview)
-        assert bytes(view) == b"abc"
-
-    def test_read_is_zero_copy(self):
-        data = bytearray(b"abcdef")
-        r = ByteReader(data)
-        view = r.read(3)
-        data[0] = ord(b"z")
-        assert bytes(view) == b"zbc"  # aliases the source
-
-    def test_underflow_raises(self):
-        r = ByteReader(b"ab")
-        with pytest.raises(BufferUnderflowError):
-            r.read(3)
-
-    def test_underflow_does_not_advance(self):
-        r = ByteReader(b"ab")
-        with pytest.raises(BufferUnderflowError):
-            r.read(5)
-        assert bytes(r.read(2)) == b"ab"
-
-    def test_negative_read_rejected(self):
-        r = ByteReader(b"ab")
-        with pytest.raises(ValueError):
-            r.read(-1)
-
-    def test_peek_does_not_advance(self):
-        r = ByteReader(b"abcd")
-        assert bytes(r.peek(2)) == b"ab"
-        assert bytes(r.read(2)) == b"ab"
-
-    def test_peek_underflow(self):
-        r = ByteReader(b"a")
-        with pytest.raises(BufferUnderflowError):
-            r.peek(2)
-
-    def test_skip(self):
-        r = ByteReader(b"abcd")
-        r.skip(2)
-        assert bytes(r.rest()) == b"cd"
-
-    def test_seek(self):
-        r = ByteReader(b"abcd")
-        r.read(3)
-        r.seek(1)
-        assert bytes(r.rest()) == b"bcd"
-
-    def test_seek_out_of_range(self):
-        r = ByteReader(b"abcd")
-        with pytest.raises(BufferUnderflowError):
-            r.seek(5)
-
-    def test_read_bytes_owns_copy(self):
-        data = bytearray(b"abc")
-        r = ByteReader(data)
-        owned = r.read_bytes(3)
-        data[0] = ord(b"z")
-        assert owned == b"abc"
-
-    @given(st.binary(max_size=500), st.integers(0, 500))
-    def test_read_then_rest_partition(self, data, n):
-        r = ByteReader(data)
-        if n > len(data):
-            with pytest.raises(BufferUnderflowError):
-                r.read(n)
-        else:
-            head = bytes(r.read(n))
-            tail = bytes(r.rest())
-            assert head + tail == data
