@@ -12,10 +12,12 @@ mirror — a policy-driven admission layer every
   (interactive / batch / best-effort), cost-unit-accounted queue with
   an optional LIFO-within-class discipline;
 * :class:`ConcurrencyLimiter` — AIMD limit on in-flight dispatches fed
-  by observed service latency, replacing the fixed worker-pool size;
+  by observed service latency;
 * :class:`AdmissionController` — the shed/admit decision point wiring
   queue + limiter to an endpoint, emitting ``admit`` / ``shed`` /
-  ``limit_change`` events;
+  ``limit_change`` events.  It is the endpoint's only dispatch path for
+  threaded two-way requests; a disabled policy only changes its values
+  (unbounded queue, limit pinned at ``max_limit``);
 * :func:`deadline_scope` / :func:`ambient_deadline` — server-side
   deadline propagation, so an expired budget sheds before dispatch and
   nested invokes inherit the shrunken remainder.

@@ -1,13 +1,17 @@
 """The admission controller: queue + limiter + shed decisions.
 
-One controller fronts one :class:`~repro.nexus.endpoint.Endpoint`.
-Every two-way request the endpoint receives is *offered*; the
-controller either admits it into the bounded priority queue (``admit``
-event) or sheds it with a pushback reply (``shed`` event).  Workers
-draw admitted work through :meth:`pop` (blocking, threaded transports)
-or :meth:`try_pop` (non-blocking, the synchronous simulated world),
-both gated by the adaptive :class:`ConcurrencyLimiter`; completions
-feed service latency back through :meth:`finish`.
+One controller fronts one :class:`~repro.nexus.endpoint.Endpoint` and
+is its only dispatch mechanism for threaded two-way requests.  Every
+such request is *offered*; the controller either admits it into the
+priority queue (``admit`` event) or sheds it with a pushback reply
+(``shed`` event).  Workers draw admitted work through :meth:`pop`
+(blocking, threaded transports) or :meth:`try_pop` (non-blocking, the
+synchronous simulated world), both gated by the
+:class:`ConcurrencyLimiter`; completions feed service latency back
+through :meth:`finish`.
+
+The policy only picks values: ``enabled=False`` is an unbounded queue
+and a limit pinned at ``max_limit``, not a bypass.
 
 Shed reasons — the vocabulary of the ``shed`` event and of
 :class:`~repro.exceptions.OverloadError.reason`::
@@ -20,6 +24,8 @@ Shed reasons — the vocabulary of the ``shed`` event and of
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import threading
 from typing import Callable, Optional
 
@@ -50,11 +56,12 @@ class AdmissionController:
             hooks = GLOBAL_HOOKS
         self.hooks = hooks
         self.clock = clock if clock is not None else WallClock()
-        self._policy = policy if policy is not None else AdmissionPolicy()
-        self.queue = AdmissionQueue(self._policy.queue_capacity,
-                                    lifo=self._policy.lifo)
-        self.limiter = ConcurrencyLimiter(self._policy, hooks=hooks)
-        self._cond = threading.Condition()
+        self._build(policy if policy is not None else AdmissionPolicy())
+        #: Guards queue, limiter and ``_parked``; reentrant so an event
+        #: handler fired under it may read back into the controller.
+        self._lock = threading.RLock()
+        #: Wake locks of workers waiting in :meth:`pop`, newest last.
+        self._parked: list = []
         self._stopping = False
         self.admitted = 0
         self.shed = 0
@@ -64,10 +71,18 @@ class AdmissionController:
     def policy(self) -> AdmissionPolicy:
         return self._policy
 
-    @property
-    def active(self) -> bool:
-        """Should the endpoint route dispatches through admission?"""
-        return self._policy.enabled
+    def _build(self, policy: AdmissionPolicy) -> None:
+        """Install ``policy`` with a fresh queue and limiter.  A disabled
+        policy means no queue bound and a limit pinned at ``max_limit``."""
+        self._policy = policy
+        if policy.enabled:
+            capacity, pinned = policy.queue_capacity, policy
+        else:
+            capacity = sys.maxsize
+            pinned = dataclasses.replace(policy, min_limit=policy.max_limit,
+                                         initial_limit=None)
+        self.queue = AdmissionQueue(capacity, lifo=policy.lifo)
+        self.limiter = ConcurrencyLimiter(pinned, hooks=self.hooks)
 
     def set_policy(self, policy: AdmissionPolicy) -> None:
         """Swap the policy at runtime (Open Implementation style).
@@ -76,17 +91,14 @@ class AdmissionController:
         and existing items re-offered in priority order; anything the
         smaller queue cannot take is shed with pushback.
         """
-        with self._cond:
+        with self._lock:
             old_items = self.queue.drain()
-            self._policy = policy
-            self.queue = AdmissionQueue(policy.queue_capacity,
-                                        lifo=policy.lifo)
-            self.limiter = ConcurrencyLimiter(policy, hooks=self.hooks)
+            self._build(policy)
             overflow = []
             for item in old_items:
                 if not self.queue.offer(item):
                     overflow.append(item)
-            self._cond.notify_all()
+            self._wake(len(self._parked))
         for item in overflow:
             self._shed(item.priority, item.cost,
                        self._policy.retry_after_hint(self.queue.units),
@@ -140,12 +152,12 @@ class AdmissionController:
             expires_at = self.clock.now() + deadline_remaining
         item = QueuedItem(work=work, priority=priority, cost=cost,
                           expires_at=expires_at, extra=reject)
-        with self._cond:
+        with self._lock:
             admitted = self.queue.offer(item)
             if admitted:
                 self.admitted += 1
                 self.max_depth = max(self.max_depth, self.queue.depth)
-                self._cond.notify()
+                self._wake(1)
         if not admitted:
             self._shed(priority, cost,
                        self._policy.retry_after_hint(self.queue.units),
@@ -162,44 +174,61 @@ class AdmissionController:
 
         Expired items found at the head are shed on the spot (their
         reject callback answers the peer) rather than dispatched dead.
+        The queue is checked before a slot is claimed, so an empty queue
+        costs no limiter round trip.
         """
-        while True:
-            if not self.limiter.try_acquire():
-                return None
+        while self.queue.units and self.limiter.try_acquire():
             item = self.queue.pop()
-            if item is None:
-                self.limiter.release(-1.0)
-                return None
-            if item.expires_at is not None \
-                    and self.clock.now() > item.expires_at:
-                self.limiter.release(-1.0)
-                self._shed(item.priority, item.cost, 0.0, "deadline",
-                           item.extra)
-                continue
-            return item
+            if item.expires_at is None \
+                    or self.clock.now() <= item.expires_at:
+                return item
+            self.limiter.release(-1.0)
+            self._shed(item.priority, item.cost, 0.0, "deadline", item.extra)
+        return None
 
     def pop(self, timeout: Optional[float] = None) -> Optional[QueuedItem]:
-        """Blocking draw for threaded workers; None on timeout/stop."""
-        with self._cond:
+        """Blocking draw for threaded workers; None on timeout/stop.
+
+        A worker with nothing to take parks on a lock of its own until
+        :meth:`_wake` releases it or ``timeout`` passes.
+        """
+        with self._lock:
             item = self._take()
-            if item is not None:
+            if item is not None or self._stopping:
                 return item
-            if self._stopping:
-                return None
-            self._cond.wait(timeout)
+            parked = threading.Lock()
+            parked.acquire()
+            self._parked.append(parked)
+        woken = parked.acquire(timeout=-1 if timeout is None else timeout)
+        with self._lock:
+            if not woken and parked in self._parked:
+                self._parked.remove(parked)
             return self._take()
+
+    def _wake(self, count: int) -> None:
+        """Release up to ``count`` parked workers, newest first (caller
+        holds the lock): light load keeps one warm worker busy instead
+        of rotating through all of them."""
+        for _ in range(min(count, len(self._parked))):
+            self._parked.pop().release()
 
     def try_pop(self) -> Optional[QueuedItem]:
         """Non-blocking draw (the synchronous simulated world)."""
-        with self._cond:
+        with self._lock:
             return self._take()
 
     def finish(self, item: QueuedItem, latency: float) -> None:
-        """Report one dispatch complete; feeds the adaptive limit."""
-        queued = self.queue.depth > 0
-        self.limiter.release(latency, queued=queued)
-        with self._cond:
-            self._cond.notify()
+        """Report one dispatch complete; feeds the adaptive limit.
+
+        Wakes a worker only if work is queued; releasing and checking
+        under the lock means a worker that parked for want of a slot
+        cannot miss the wake-up.
+        """
+        with self._lock:
+            queued = self.queue.units > 0
+            self.limiter.release(latency, queued=queued)
+            if queued:
+                self._wake(1)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -207,10 +236,10 @@ class AdmissionController:
         """Refuse new offers and shed everything queued; returns the
         shed count.  Every queued item's reject callback fires, so no
         admitted peer is left hanging until its own timeout."""
-        with self._cond:
+        with self._lock:
             self._stopping = True
             victims = self.queue.drain()
-            self._cond.notify_all()
+            self._wake(len(self._parked))
         for item in victims:
             self._shed(item.priority, item.cost, self._policy.retry_after,
                        reason, item.extra)

@@ -1,7 +1,7 @@
 """Adaptive concurrency limiter: AIMD over observed service latency.
 
-Replaces the endpoint's fixed ``DISPATCH_WORKERS`` cap with a limit
-that *tracks the service's actual capacity*: every completed dispatch
+Caps an endpoint's concurrent two-way dispatches with a limit that
+*tracks the service's actual capacity*: every completed dispatch
 feeds its service latency in; once per ``window`` completions the
 windowed p50 is compared against the best (lowest) p50 ever observed —
 the congestion-free baseline.  Latency inflating past ``tolerance`` x
@@ -12,15 +12,18 @@ congestion signal.
 
 Deterministic by construction: decisions are pure arithmetic over the
 completion sequence — no clock reads, no randomness — so seeded simnet
-runs converge bit-for-bit.
+runs converge bit-for-bit.  No lock of its own: the controller calls
+it only while holding its lock.  A disabled admission policy pins the
+limit by handing this class ``min_limit == max_limit`` (see
+:class:`~repro.admission.controller.AdmissionController`).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from repro.admission.policy import AdmissionPolicy
+from repro.metrics.core import nearest_rank
 
 __all__ = ["ConcurrencyLimiter"]
 
@@ -38,25 +41,21 @@ class ConcurrencyLimiter:
         self._demand_seen = False
         self._baseline: Optional[float] = None
         self.adjustments = 0
-        self._lock = threading.Lock()
 
     @property
     def limit(self) -> int:
-        with self._lock:
-            return self._limit
+        return self._limit
 
     @property
     def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
+        return self._inflight
 
     def try_acquire(self) -> bool:
         """Claim one dispatch slot; False when the limit is reached."""
-        with self._lock:
-            if self._inflight >= self._limit:
-                return False
-            self._inflight += 1
-            return True
+        if self._inflight >= self._limit:
+            return False
+        self._inflight += 1
+        return True
 
     def release(self, latency: float, queued: bool = False) -> None:
         """Return a slot and feed the adaptation loop.
@@ -65,38 +64,35 @@ class ConcurrencyLimiter:
         ``queued`` says whether work was waiting when it completed —
         the demand signal that justifies additive increase.
         """
-        with self._lock:
-            self._inflight = max(self._inflight - 1, 0)
-            if latency >= 0:
-                self._window.append(latency)
-            self._demand_seen = self._demand_seen or queued
-            if len(self._window) < self.policy.window:
-                return
-            samples = sorted(self._window)
-            self._window = []
-            demand, self._demand_seen = self._demand_seen, False
-            p50 = samples[len(samples) // 2]
-            if self._baseline is None or p50 < self._baseline:
-                self._baseline = p50
-            previous = self._limit
-            if p50 > self.policy.tolerance * self._baseline:
-                self._limit = max(self.policy.min_limit,
-                                  min(self._limit - 1,
-                                      int(self._limit * self.policy.decrease)))
-            elif demand:
-                self._limit = min(self.policy.max_limit,
-                                  self._limit + self.policy.increase)
-            if self._limit == previous:
-                return
-            self.adjustments += 1
-            hooks = self.hooks
-        if hooks is not None:
-            hooks.emit("limit_change", limit=self._limit,
-                       previous=previous, p50=p50,
-                       baseline=self._baseline)
+        self._inflight = max(self._inflight - 1, 0)
+        if latency >= 0:
+            self._window.append(latency)
+        self._demand_seen = self._demand_seen or queued
+        if len(self._window) < self.policy.window:
+            return
+        samples = sorted(self._window)
+        self._window = []
+        demand, self._demand_seen = self._demand_seen, False
+        p50 = nearest_rank(samples, 0.5)
+        if self._baseline is None or p50 < self._baseline:
+            self._baseline = p50
+        previous = self._limit
+        if p50 > self.policy.tolerance * self._baseline:
+            self._limit = max(self.policy.min_limit,
+                              min(self._limit - 1,
+                                  int(self._limit * self.policy.decrease)))
+        elif demand:
+            self._limit = min(self.policy.max_limit,
+                              self._limit + self.policy.increase)
+        if self._limit == previous:
+            return
+        self.adjustments += 1
+        if self.hooks is not None:
+            self.hooks.emit("limit_change", limit=self._limit,
+                            previous=previous, p50=p50,
+                            baseline=self._baseline)
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {"limit": self._limit, "inflight": self._inflight,
-                    "baseline_p50": self._baseline,
-                    "adjustments": self.adjustments}
+        return {"limit": self._limit, "inflight": self._inflight,
+                "baseline_p50": self._baseline,
+                "adjustments": self.adjustments}

@@ -56,18 +56,20 @@ class AdmissionPolicy:
     long pause — see :meth:`retry_after_hint`.
     """
 
-    #: Master switch; off means the legacy unbounded-pool dispatch path.
+    #: Master switch.  Off does not bypass admission: the controller
+    #: builds an unbounded queue and pins the limit at ``max_limit``, so
+    #: requests still pass through it but are only ever shed for an
+    #: expired deadline or a stopping endpoint.
     enabled: bool = False
     #: Bound on queued cost units across all classes; offers beyond it
-    #: are shed with a pushback reply.
+    #: are shed with a pushback reply (ignored while disabled).
     queue_capacity: int = 64
     #: Serve the *newest* request within a class first.  Under sustained
     #: overload FIFO serves the oldest — most-likely-already-expired —
     #: work first; LIFO trades per-class fairness for useful goodput.
     lifo: bool = False
-    #: Upper bound on dispatch worker threads (threaded transports).
-    max_workers: int = 16
     #: Concurrency-limit bounds and adaptation step for the AIMD limiter.
+    #: A threaded endpoint runs ``max_limit`` dispatch workers.
     min_limit: int = 1
     max_limit: int = 16
     initial_limit: Optional[int] = None
@@ -88,8 +90,6 @@ class AdmissionPolicy:
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         if not 1 <= self.min_limit <= self.max_limit:
             raise ValueError("need 1 <= min_limit <= max_limit")
         if self.initial_limit is not None and not \

@@ -6,16 +6,17 @@ is counted in cost units, not entries, so a 100-member batch fills the
 queue like 100 calls would — the server half of the batch-accounting
 satellite.
 
-Pure data structure: no clock, no threads of its own (the controller
-owns the condition variable), so it is trivially deterministic and unit
-testable.
+Pure data structure: no clock, no threads and no lock of its own.  The
+controller mutates it only while holding its lock; the unlocked reads
+(``depth``, ``units``) are single attribute or ``len`` reads, so
+diagnostics may see a value one operation stale but never a torn one.
+Trivially deterministic and unit testable.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.admission.policy import CLASS_NAMES
@@ -23,7 +24,7 @@ from repro.admission.policy import CLASS_NAMES
 __all__ = ["QueuedItem", "AdmissionQueue"]
 
 
-@dataclass
+@dataclass(slots=True)
 class QueuedItem:
     """One admitted-but-not-yet-dispatched request."""
 
@@ -35,7 +36,6 @@ class QueuedItem:
     #: Opaque per-item baggage (the endpoint keeps the reject callback
     #: here so an expired item can still answer its peer).
     extra: Any = None
-    seq: int = field(default=0)
 
 
 class AdmissionQueue:
@@ -48,25 +48,19 @@ class AdmissionQueue:
         self.lifo = lifo
         self._classes: List[deque] = [deque() for _ in CLASS_NAMES]
         self._units = 0
-        self._seq = 0
-        self._lock = threading.Lock()
 
     @property
     def units(self) -> int:
         """Queued cost units (the capacity-bounded quantity)."""
-        with self._lock:
-            return self._units
+        return self._units
 
     @property
     def depth(self) -> int:
         """Queued entry count (diagnostics; capacity bounds units)."""
-        with self._lock:
-            return sum(len(q) for q in self._classes)
+        return sum(map(len, self._classes))
 
     def depth_by_class(self) -> dict:
-        with self._lock:
-            return {CLASS_NAMES[i]: len(q)
-                    for i, q in enumerate(self._classes)}
+        return {CLASS_NAMES[i]: len(q) for i, q in enumerate(self._classes)}
 
     def offer(self, item: QueuedItem) -> bool:
         """Enqueue unless it would exceed capacity; False = rejected.
@@ -80,35 +74,30 @@ class AdmissionQueue:
             raise ValueError(f"unknown priority class {item.priority}")
         if item.cost < 1:
             raise ValueError("cost must be >= 1")
-        with self._lock:
-            if self._units + item.cost > self.capacity \
-                    and not (self._units == 0 and item.cost > self.capacity):
-                return False
-            self._seq += 1
-            item.seq = self._seq
-            self._classes[item.priority].append(item)
-            self._units += item.cost
-            return True
+        if self._units + item.cost > self.capacity \
+                and not (self._units == 0 and item.cost > self.capacity):
+            return False
+        self._classes[item.priority].append(item)
+        self._units += item.cost
+        return True
 
     def pop(self) -> Optional[QueuedItem]:
         """Dequeue from the most urgent non-empty class, or None."""
-        with self._lock:
-            for q in self._classes:
-                if q:
-                    item = q.pop() if self.lifo else q.popleft()
-                    self._units -= item.cost
-                    return item
-            return None
+        for q in self._classes:
+            if q:
+                item = q.pop() if self.lifo else q.popleft()
+                self._units -= item.cost
+                return item
+        return None
 
     def drain(self) -> List[QueuedItem]:
         """Remove and return everything queued (stop/shutdown path)."""
-        with self._lock:
-            items: List[QueuedItem] = []
-            for q in self._classes:
-                items.extend(q)
-                q.clear()
-            self._units = 0
-            return items
+        items: List[QueuedItem] = []
+        for q in self._classes:
+            items.extend(q)
+            q.clear()
+        self._units = 0
+        return items
 
     def __len__(self) -> int:
         return self.depth

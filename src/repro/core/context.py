@@ -186,9 +186,11 @@ class Context:
         #: breakers, retry budgets, overload pushback, latency windows
         #: and call coalescers (see :mod:`repro.core.peers`).
         self.peers = PeerTable(self.clock)
-        #: Server-side admission control for this context's endpoint
-        #: (disabled by default; :meth:`set_admission_policy` turns it
-        #: on and re-tunes it at runtime, Open Implementation style).
+        #: Server-side admission control: the endpoint's one dispatch
+        #: mechanism for threaded two-way requests.  The default policy
+        #: is disabled (unbounded queue, fixed limit);
+        #: :meth:`set_admission_policy` turns shedding and AIMD on and
+        #: re-tunes them at runtime, Open Implementation style.
         self.admission = AdmissionController(AdmissionPolicy(),
                                              clock=self.clock)
         self.server.endpoint.admission = self.admission
@@ -200,9 +202,6 @@ class Context:
         #: application opts in; explicit ``gp.batch()`` scopes work
         #: regardless).
         self.batch_policy = BatchPolicy(enabled=False)
-        #: Real-transport channels multiplex concurrent requests by
-        #: correlation id unless an application opts out.
-        self.pipelined_channels = True
         # Per-context name→OR resolver cache (TTL + version-checked;
         # see docs/DIRECTORY.md).  GPs bound here feed MOVED forwarding
         # notices into it so every cached alias of a migrated object is
@@ -386,8 +385,8 @@ class Context:
 
         Queued work survives the swap (re-offered at the new capacity;
         overflow is shed with pushback).  ``AdmissionPolicy()`` has
-        ``enabled=False``, so passing a default policy switches
-        admission control off again.
+        ``enabled=False``, so passing a default policy goes back to an
+        unbounded queue and a limit pinned at ``max_limit``.
         """
         self.admission.set_policy(policy)
 

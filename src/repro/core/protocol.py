@@ -100,10 +100,9 @@ class ProtocolClient(abc.ABC):
         """Open (and cache) the startpoint to the first reachable
         address in the entry's address list (multimethod fallback).
 
-        Socket (tcp) channels get a :class:`PipelinedStartpoint` (many
-        outstanding requests per connection, demuxed by correlation id)
-        unless the context opts out via ``pipelined_channels=False``.
-        In-process channels and the synchronous simulated world keep
+        Wall-clock socket (tcp) channels always get a
+        :class:`PipelinedStartpoint` (many outstanding requests per
+        connection, demuxed by correlation id).  In-process channels and the synchronous simulated world keep
         the lock-step startpoint: a queue pair has no round trip to
         hide, and serializing per channel keeps an eviction mid-call a
         single-request failure instead of a mass kill of every
@@ -125,9 +124,7 @@ class ProtocolClient(abc.ABC):
                 errors.append(f"{address.get('transport')}: {exc}")
                 continue
             pipelined = (address.get("transport") == "tcp"
-                         and self.context.sim is None
-                         and getattr(self.context, "pipelined_channels",
-                                     True))
+                         and self.context.sim is None)
             sp_cls = PipelinedStartpoint if pipelined else Startpoint
             self._startpoint = sp_cls(channel, timeout=self.timeout)
             return self._startpoint

@@ -5,7 +5,10 @@ An :class:`Endpoint` owns a table of named handlers
 
 * **threaded** — ``serve_listener`` starts a daemon accept loop; each
   accepted channel gets a daemon service loop.  Used for the real
-  transports (inproc/shm/tcp).
+  transports (inproc/shm/tcp).  Every two-way request is offered to the
+  endpoint's :class:`~repro.admission.AdmissionController` and runs on
+  one of its ``max_limit`` dispatch workers; oneways run inline on the
+  channel's service thread.
 * **inline** — ``serve_sim_listener`` installs callbacks on a simulated
   listener so requests dispatch synchronously inside the sender's
   ``send`` call, keeping virtual time single-threaded.
@@ -20,7 +23,7 @@ A :class:`PipelinedStartpoint` lifts that lock-step restriction: a
 dedicated demux thread routes replies to waiters by request id
 (correlation), so any number of callers may have requests outstanding
 on *one* connection at once — the channel is pipelined instead of
-request/reply ping-pong.  Real transports use it by default; the
+request/reply ping-pong.  Wall-clock TCP channels always use it; the
 synchronous simulated world keeps the plain startpoint (one virtual
 event at a time makes pipelining meaningless there).
 """
@@ -30,6 +33,9 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Optional
 
+from repro.admission.controller import AdmissionController
+from repro.admission.deadline import deadline_scope
+from repro.admission.policy import BEST_EFFORT
 from repro.exceptions import (
     ChannelClosedError,
     HpcError,
@@ -55,9 +61,9 @@ Handler = Callable[[bytes], bytes]
 
 _WALL = WallClock()
 
-#: Sentinel: derive the dispatch deadline from the message itself (the
-#: admission path passes the expiry computed at *arrival* instead, so
-#: queueing time is not silently refunded to the budget).
+#: Sentinel: derive the dispatch deadline from the message itself (inline
+#: dispatch; admitted work passes the expiry computed at *arrival*
+#: instead, so queueing time is not silently refunded to the budget).
 _DERIVE = object()
 
 
@@ -70,11 +76,38 @@ def _raise_overload(reply: RsrMessage) -> None:
         retry_after=info["retry_after"], reason=info["reason"])
 
 
+class _Owed:
+    """Two-way requests read off one channel and not yet answered or
+    shed; the channel's serve loop closes it only once this is zero."""
+
+    __slots__ = ("_count", "_lock", "_idle")
+
+    def __init__(self):
+        self._count = 0
+        self._lock = threading.Lock()
+        self._idle: Optional[threading.Event] = None  # set by wait()
+
+    def add(self) -> None:
+        with self._lock:
+            self._count += 1
+
+    def settle(self) -> None:
+        with self._lock:
+            self._count -= 1
+            if self._count or self._idle is None:
+                return
+        self._idle.set()
+
+    def wait(self) -> None:
+        with self._lock:
+            if not self._count:
+                return
+            self._idle = threading.Event()
+        self._idle.wait()
+
+
 class Endpoint:
     """Named-handler dispatch target."""
-
-    #: Cap on concurrently dispatching two-way requests per endpoint.
-    DISPATCH_WORKERS = 16
 
     def __init__(self, name: str = ""):
         self.name = name or "endpoint"
@@ -87,13 +120,12 @@ class Endpoint:
         self._stop_mutex = threading.Lock()
         self._ready = threading.Event()
         self._lock = threading.Lock()
-        self._pool = None
-        #: Admission controller (set by the owning context); None or an
-        #: inactive controller means the legacy fixed-pool path.
-        self.admission = None
+        #: The one dispatch mechanism for threaded two-way requests; the
+        #: owning context swaps in its own controller.
+        self.admission = AdmissionController()
         #: The owning context's TimeSource; wall clock until wired.
         self.clock = None
-        self._admission_workers: list[threading.Thread] = []
+        self._workers: list[threading.Thread] = []
 
     def _now(self) -> float:
         return (self.clock or _WALL).now()
@@ -150,8 +182,6 @@ class Endpoint:
                 raise RemoteInvocationError(
                     f"endpoint {self.name!r} has no handler "
                     f"{message.handler!r}")
-            from repro.admission.deadline import deadline_scope
-
             with deadline_scope(expires_at):
                 result = handler(message.payload)
             if result is None:
@@ -179,31 +209,13 @@ class Endpoint:
 
     # -- threaded service (real transports) -----------------------------------
 
-    def _dispatch_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.DISPATCH_WORKERS,
-                    thread_name_prefix=f"{self.name}-dispatch")
-            return self._pool
-
-    def _run_pooled(self, message: RsrMessage, channel: Channel,
-                    expires_at=_DERIVE) -> None:
-        try:
-            self._run_request(message, channel, expires_at)
-        except ChannelClosedError:
-            # Peer hung up between request and reply: orderly, not an
-            # error (the service loop notices the dead channel itself).
-            pass
-
-    # -- admission-controlled dispatch ----------------------------------------
-
-    def _offer_admission(self, message: RsrMessage, channel: Channel,
-                         admission) -> None:
+    def _offer(self, message: RsrMessage, channel: Channel,
+               owed: _Owed) -> None:
         """Offer one two-way request to the admission controller; a
         shed answers the peer with an RSR OVERLOAD pushback reply."""
+        admission = self.admission
+        if len(self._workers) < admission.policy.max_limit:
+            self._grow_workers(admission.policy.max_limit)
 
         def reject(retry_after: float, reason: str) -> None:
             payload = encode_overload_info(retry_after, reason,
@@ -213,58 +225,66 @@ class Endpoint:
                     message.request_id, payload))
             except HpcError:
                 pass  # peer already gone: nothing to push back to
+            finally:
+                owed.settle()
 
-        self._ensure_admission_workers(admission)
+        owed.add()
         admission.submit(
-            (message, channel), priority=message.priority,
+            (message, channel, owed),
+            # An unknown class from the wire is served as the least
+            # urgent one rather than refused.
+            priority=min(message.priority, BEST_EFFORT),
             deadline_remaining=message.deadline,
             cost=admission.classify(message.handler, message.payload),
             reject=reject)
 
-    def _ensure_admission_workers(self, admission) -> None:
+    def _grow_workers(self, count: int) -> None:
         with self._lock:
             if self._stopping:
                 return
-            while len(self._admission_workers) < admission.policy.max_workers:
+            while len(self._workers) < count:
                 worker = threading.Thread(
-                    target=self._admission_worker,
+                    target=self._dispatch_worker,
                     name=f"{self.name}-admit", daemon=True)
-                self._admission_workers.append(worker)
+                self._workers.append(worker)
                 self._threads.append(worker)
                 worker.start()
 
-    def _admission_worker(self) -> None:
+    def _dispatch_worker(self) -> None:
         """Draw admitted work while the limiter grants a slot; service
         latency (queueing excluded) feeds the adaptive limit back."""
         while not self._stopping:
             admission = self.admission
-            if admission is None:
-                return
             item = admission.pop(timeout=0.5)
             if item is None:
                 continue
-            message, channel = item.work
+            message, channel, owed = item.work
             started = self._now()
             try:
-                self._run_pooled(message, channel,
-                                 expires_at=item.expires_at)
+                self._run_request(message, channel,
+                                  expires_at=item.expires_at)
+            except HpcError:
+                # The peer hung up between request and reply: orderly,
+                # not an error (its serve loop notices the dead channel).
+                pass
             finally:
+                owed.settle()
                 admission.finish(item, self._now() - started)
 
     def serve_channel(self, channel: Channel) -> None:
         """Blocking per-channel service loop (run in a thread).
 
-        Two-way requests dispatch on a bounded worker pool so a
-        pipelined client really does get multiple requests *executing*
-        concurrently on one connection; replies carry correlation ids,
-        so completion order is free to differ from arrival order.
-        Oneway requests stay inline: a client thread never waits on
-        them, so arrival-order execution is the only ordering anyone
-        can observe — and it is preserved.
+        Two-way requests go through the admission controller and run on
+        its workers, so a pipelined client really does get multiple
+        requests *executing* concurrently on one connection; replies
+        carry correlation ids, so completion order is free to differ
+        from arrival order.  Oneway requests stay inline: a client
+        thread never waits on them, so arrival-order execution is the
+        only ordering anyone can observe — and it is preserved.
         """
         with self._lock:
             self._channels.append(channel)
-        inflight: list = []
+        owed = _Owed()
         try:
             while not self._stopping:
                 try:
@@ -277,50 +297,15 @@ class Endpoint:
                     message = RsrMessage.decode(data)
                 except HpcError:
                     continue  # undecodable: protocol noise, skip
-                inflight = [(f, m) for f, m in inflight if not f.done()]
-                try:
-                    if message.is_request() and not message.is_oneway():
-                        admission = self.admission
-                        if admission is not None and admission.active:
-                            self._offer_admission(message, channel,
-                                                  admission)
-                        else:
-                            inflight.append((self._dispatch_pool().submit(
-                                self._run_pooled, message, channel),
-                                message))
-                    else:
-                        self._run_request(message, channel)
-                except ChannelClosedError:
-                    # The peer hung up between request and reply (a
-                    # closed GP, an evicted hedge loser): an orderly
-                    # disconnect, not a server error.
-                    break
-                except RuntimeError:
-                    break  # pool shut down mid-stop
+                if message.is_request() and not message.is_oneway():
+                    self._offer(message, channel, owed)
+                else:
+                    self._run_request(message, channel)
         finally:
-            # Drain before closing: every request consumed off the
-            # channel must get its reply out, even when the peer's
-            # close sentinel raced ahead of the pooled handler — a
-            # client that half-closed (eviction) may still be blocked
-            # waiting for a reply the queue already delivered it.  A
-            # future the stopping pool *cancelled* still owes its peer
-            # an answer: fail it explicitly instead of leaving the
-            # client to discover the drop by timeout.
-            for future, message in inflight:
-                if future.cancelled():
-                    try:
-                        err = dumps(("HpcError",
-                                     "endpoint stopped before dispatching "
-                                     "request"))
-                        self._send_reply(channel, RsrMessage.error(
-                            message.request_id, err))
-                    except HpcError:
-                        pass  # peer already gone
-                    continue
-                try:
-                    future.result(timeout=5.0)
-                except Exception:  # noqa: BLE001 - timeout/handler error
-                    pass
+            # Every two-way request read off this channel is answered or
+            # shed before the channel closes: a client that half-closed
+            # (eviction) may still be waiting for one of those replies.
+            owed.wait()
             channel.close()
 
     def serve_listener(self, listener: Listener) -> None:
@@ -401,10 +386,10 @@ class Endpoint:
 
     def stop(self) -> None:
         """Stop serving.  Ordering matters: channels stay open until the
-        serve threads have drained, so queued two-way requests that the
-        stopping pool cancelled (or the admission controller shed) get
-        an explicit error/pushback reply instead of silently vanishing —
-        a pipelined peer must never hang until its own timeout.
+        serve threads have drained, so two-way requests still queued in
+        the admission controller get an explicit ``stopping`` pushback
+        reply instead of silently vanishing — a pipelined peer must
+        never hang until its own timeout.
 
         Idempotent and re-entrant: a second call (including one from a
         signal handler that interrupted the first mid-teardown on this
@@ -424,13 +409,9 @@ class Endpoint:
             with self._lock:
                 listeners = list(self._listeners)
                 threads = list(self._threads)
-                pool, self._pool = self._pool, None
             for listener in listeners:
                 listener.close()
-            if self.admission is not None:
-                self.admission.stop()
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            self.admission.stop()
             current = threading.current_thread()
             for thread in threads:
                 if thread is current:

@@ -1,5 +1,9 @@
 """AdmissionController: shed decisions, deadlines, batch costing,
-runtime policy swap, stop-drain."""
+runtime policy swap, stop-drain, the disabled policy's values, and
+worker wake-ups."""
+
+import sys
+import threading
 
 from repro.admission import (
     BATCH,
@@ -152,3 +156,123 @@ class TestStop:
         assert snap["enabled"] and snap["queue_depth"] == 1
         assert snap["admitted"] == 1 and snap["shed"] == 0
         assert "limit" in snap and "inflight" in snap
+
+
+class TestDisabledPolicy:
+    """``enabled=False`` is a choice of values, not a bypass."""
+
+    def test_queue_is_unbounded(self):
+        ctrl = AdmissionController(AdmissionPolicy(queue_capacity=2),
+                                   hooks=HookBus())
+        assert all(ctrl.submit(i) for i in range(100))
+        assert ctrl.queue.depth == 100 and ctrl.shed == 0
+
+    def test_limit_pinned_at_max_limit(self):
+        bus = HookBus()
+        changes = []
+        bus.on("limit_change", changes.append)
+        ctrl = AdmissionController(
+            AdmissionPolicy(max_limit=3, initial_limit=1, window=2),
+            clock=VirtualClock(), hooks=bus)
+        assert ctrl.limiter.limit == 3
+        for latency in [0.001] * 4 + [1.0] * 8:   # healthy, then inflated
+            ctrl.submit("w")
+            ctrl.finish(ctrl.try_pop(), latency)
+        assert ctrl.limiter.limit == 3 and changes == []
+
+    def test_swap_to_enabled_bounds_the_queue(self):
+        ctrl = AdmissionController(AdmissionPolicy(), hooks=HookBus())
+        ctrl.set_policy(AdmissionPolicy(enabled=True, queue_capacity=1))
+        assert ctrl.submit("a") and not ctrl.submit("b")
+
+
+class TestWakeUp:
+    def test_freed_slot_wakes_a_blocked_pop(self):
+        """A worker that found work queued but no slot waits; the
+        completion that frees a slot must wake it."""
+        ctrl, _clock, _events = make(max_limit=1, initial_limit=1)
+        ctrl.submit("first")
+        running = ctrl.pop(timeout=0)
+        ctrl.submit("second")
+        refused = threading.Event()
+        try_acquire = ctrl.limiter.try_acquire
+
+        def spy():
+            granted = try_acquire()
+            if not granted:
+                refused.set()      # the waiter holds the lock now
+            return granted
+
+        ctrl.limiter.try_acquire = spy
+        got = []
+        woke = threading.Event()
+
+        def waiter():
+            got.append(ctrl.pop(timeout=30.0))
+            woke.set()
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        assert refused.wait(10.0)
+        # finish() takes the controller's lock, so it runs only once the
+        # waiter has parked and released it.
+        ctrl.finish(running, 0.01)
+        assert woke.wait(10.0)
+        thread.join(10.0)
+        assert got[0].work == "second"
+
+
+class TestConcurrentUse:
+    def test_counts_hold_under_contention(self):
+        """Queue and limiter have no locks of their own; the controller's
+        lock guards them.  Producers and more workers than cores
+        hammer one controller with a tiny switch interval: a lost update
+        would leave units or in-flight slots behind, or run more than
+        ``max_limit`` dispatches at once."""
+        producers, per_producer, workers = 3, 400, 6
+        ctrl = AdmissionController(AdmissionPolicy(max_limit=2),
+                                   hooks=HookBus())
+        produced = threading.Event()
+        lock = threading.Lock()
+        served, running, peak = [], [0], [0]
+
+        def produce():
+            for i in range(per_producer):
+                ctrl.submit(i)
+
+        def work():
+            while True:
+                item = ctrl.pop(timeout=0.01)
+                if item is None:
+                    if produced.is_set() and not ctrl.queue.units:
+                        return
+                    continue
+                with lock:
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                with lock:
+                    running[0] -= 1
+                    served.append(item.work)
+                ctrl.finish(item, 0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(workers)]
+            feeders = [threading.Thread(target=produce)
+                       for _ in range(producers)]
+            for thread in pool + feeders:
+                thread.start()
+            for thread in feeders:
+                thread.join(30.0)
+            produced.set()
+            for thread in pool:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool + feeders)
+        assert len(served) == producers * per_producer
+        assert ctrl.admitted == producers * per_producer
+        assert ctrl.queue.units == 0 and ctrl.queue.depth == 0
+        assert ctrl.limiter.inflight == 0
+        assert peak[0] <= 2

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.admission import AdmissionPolicy
 from repro.core.peers import PeerTable
 from repro.core.resilience import RetryPolicy
 from repro.exceptions import HpcError
@@ -155,12 +156,20 @@ class TestDropProtocolEviction:
 
 
 class TestMutationUnderLoad:
-    def test_table_churn_during_fanout(self, wall_pair):
+    @pytest.mark.parametrize("admission", ["off", "on"])
+    def test_table_churn_during_fanout(self, wall_pair, admission):
         """Regression for the unsynchronized oref swap: hammer
         update_reference/drop_protocol from one thread while async
         invocations stream from the pool.  Every call must complete;
-        no snapshot may observe a half-mutated table."""
+        no snapshot may observe a half-mutated table.
+
+        Churn closes cached clients with requests still queued at the
+        server, so this is also the regression for replies lost when
+        the serve loop closed a channel before its admitted requests
+        were answered."""
         server, client = wall_pair
+        server.set_admission_policy(
+            AdmissionPolicy(enabled=admission == "on"))
         # Churn deliberately kills cached clients mid-call; give the
         # retries generous headroom so the test asserts *safety*, not
         # budget arithmetic.

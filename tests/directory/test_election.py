@@ -327,7 +327,7 @@ class TestGlueAndAdmission:
             election_timeout=(0.2, 0.4),
             admission=AdmissionPolicy(
                 enabled=True, max_limit=1, initial_limit=1,
-                max_workers=1, queue_capacity=1, retry_after=0.005))
+                queue_capacity=1, retry_after=0.005))
         try:
             cluster.start()
             deadline = time.time() + 10.0

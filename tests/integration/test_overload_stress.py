@@ -78,7 +78,7 @@ def client_ctx(orb, name="adm-cli"):
 
 def policy(**kw):
     defaults = dict(enabled=True, max_limit=2, initial_limit=2,
-                    max_workers=2, queue_capacity=4, retry_after=0.02)
+                    queue_capacity=4, retry_after=0.02)
     defaults.update(kw)
     return AdmissionPolicy(**defaults)
 
@@ -236,7 +236,7 @@ class TestStopDrain:
         orb = ORB()
         try:
             server, oref = tcp_world(
-                orb, policy(max_limit=1, initial_limit=1, max_workers=1,
+                orb, policy(max_limit=1, initial_limit=1,
                             queue_capacity=8),
                 servant=Molasses())
             cli = client_ctx(orb)
